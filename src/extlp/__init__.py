@@ -55,7 +55,6 @@ from .farkas import (
     solve_equality,
     solve_extended,
     solve_inequality,
-    solve_inequality_neg,
     system_preconditions,
     verify_dual_eq,
     verify_dual_ext,

@@ -16,9 +16,10 @@ pure constraint-system files)::
 
 Entries are ``bot``, ``top``, or exact rational literals (integer, ``p/q``
 or decimal).  Subcommands: ``validate``, ``dualize``, ``solve``,
-``farkas``.  Exit codes: 0 success, 2 precondition or validity violation,
-3 parse error, 4 internal theorem violation (including oracle
-disagreement under ``--oracle``).
+``farkas``.  Exit codes: 0 success, 2 precondition or validity violation
+(or a program beyond the brute-force oracle's size cap), 3 parse error,
+4 internal theorem violation (including oracle disagreement under
+``--oracle``).
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ import json
 import os
 import sys
 
-from .errors import DomainError, LPFormatError, PreconditionError, TheoremViolationError
+from .errors import DomainError, LPFormatError, PreconditionError, ScaleLimitError, TheoremViolationError
 from .extfield import format_ext, parse_ext
 from .extlinalg import ExtMatrix, ExtVector
 from .elp import (
     CONDITIONS,
     ExtendedLP,
-    ValidELP,
     dualize,
     opposites_opt,
     optimum_pair,
@@ -45,7 +45,6 @@ from .farkas import (
     solve_equality,
     solve_extended,
     solve_inequality,
-    solve_inequality_neg,
     verify_dual_eq,
     verify_dual_ext,
     verify_dual_ineq,
@@ -238,17 +237,14 @@ def _cmd_dualize(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]:
 
 def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) -> tuple[str, int]:
     report = validate(prog)
-    dual = dualize(prog)
-    if report.is_valid:
-        opt, dual_opt = optimum_pair(ValidELP(prog.A, prog.b, prog.c))
-    else:
-        opt = oracle_solve_extended(prog)
-        dual_opt = oracle_solve_extended(dual)
+    reference = None
+    if with_oracle or not report.is_valid:
+        reference = (oracle_solve_extended(prog), oracle_solve_extended(dualize(prog)))
+    opt, dual_opt = optimum_pair(prog) if report.is_valid else reference
     opposites = opposites_opt(opt, dual_opt)
 
     oracle_verdict = None
     if with_oracle:
-        reference = (oracle_solve_extended(prog), oracle_solve_extended(dual))
         if reference != (opt, dual_opt):
             raise TheoremViolationError(
                 f"oracle disagrees: optimum {opt}/{dual_opt} vs reference {reference[0]}/{reference[1]}"
@@ -301,6 +297,16 @@ def _farkas_preconditions(a: ExtMatrix, b: ExtVector, mode: str) -> dict[str, tu
     return {"finite_entries": tuple(rows)} if rows else {}
 
 
+# mode -> (solver, primal verifier, dual verifier)
+_FARKAS_MODES = {
+    "eq": (solve_equality, verify_primal_eq, verify_dual_eq),
+    "ineq": (solve_inequality, verify_primal_ineq, verify_dual_ineq),
+    "ext": (solve_extended, verify_primal_ext, verify_dual_ext),
+}
+# the ineq solve, with its certificate read as (-A^T) y <= 0
+_FARKAS_MODES["ineq-neg"] = _FARKAS_MODES["ineq"]
+
+
 def _cmd_farkas(a: ExtMatrix, b: ExtVector, ctx: dict, as_json: bool, mode: str) -> tuple[str, int]:
     base_lines = [
         f"command farkas",
@@ -317,10 +323,14 @@ def _cmd_farkas(a: ExtMatrix, b: ExtVector, ctx: dict, as_json: bool, mode: str)
         "mode": mode,
     }
 
+    solve, verify_primal, verify_dual = _FARKAS_MODES[mode]
     violations = _farkas_preconditions(a, b, mode)
-    if not violations and mode == "ext":
+    if not violations:
+        if mode != "ext":
+            a = [[e.finite_value for e in row] for row in a]
+            b = [e.finite_value for e in b]
         try:
-            out = solve_extended(a, b)
+            out = solve(a, b)
         except PreconditionError as exc:
             violations = exc.violations
     if violations:
@@ -331,32 +341,7 @@ def _cmd_farkas(a: ExtMatrix, b: ExtVector, ctx: dict, as_json: bool, mode: str)
         data = dict(base_data, preconditions={n: list(i) for n, i in violations.items()})
         return _emit(lines, data, as_json), EXIT_PRECONDITION
 
-    if mode == "ext":
-        verified = (
-            verify_primal_ext(a, b, out.x) if out.is_primal else verify_dual_ext(a, b, out.y)
-        )
-    else:
-        rows = [[e.finite_value for e in row] for row in a]
-        rhs = [e.finite_value for e in b]
-        if mode == "eq":
-            out = solve_equality(rows, rhs)
-            verified = (
-                verify_primal_eq(rows, rhs, out.x) if out.is_primal else verify_dual_eq(rows, rhs, out.y)
-            )
-        elif mode == "ineq":
-            out = solve_inequality(rows, rhs)
-            verified = (
-                verify_primal_ineq(rows, rhs, out.x)
-                if out.is_primal
-                else verify_dual_ineq(rows, rhs, out.y)
-            )
-        else:
-            out = solve_inequality_neg(rows, rhs)
-            verified = (
-                verify_primal_ineq(rows, rhs, out.x)
-                if out.is_primal
-                else verify_dual_ineq(rows, rhs, out.y)
-            )
+    verified = verify_primal(a, b, out.x) if out.is_primal else verify_dual(a, b, out.y)
     if not verified:
         raise TheoremViolationError("solver witness failed verification")
 
@@ -447,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except ScaleLimitError as exc:
+        print(f"scale limit: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
     sys.stdout.write(out)

@@ -64,7 +64,6 @@ __all__ = [
     "opposites_opt",
     "weak_duality_check",
     "strong_duality_check",
-    "telemetry",
 ]
 
 TOP_COL_BOT_COST = "top_col_bot_cost"
@@ -87,11 +86,6 @@ DUAL_CONDITION_SWAP = {
     TOP_ROW_TOP_RHS: BOT_COL_TOP_COST,
     BOT_COL_TOP_COST: TOP_ROW_TOP_RHS,
 }
-
-# counters for solver paths that the theory says are unreachable; tests
-# assert they stay zero
-telemetry = {"block_dual_scaled": 0}
-
 
 @dataclass(frozen=True)
 class ExtendedLP:
@@ -290,9 +284,9 @@ def _duality_block(p: ValidELP) -> tuple[ExtMatrix, ExtVector]:
     return ExtMatrix(rows, ncols=i_n + j_n), rhs
 
 
-def _both_feasible_values(p: ValidELP, d: ValidELP) -> tuple[ExtValue, ExtValue]:
+def _both_feasible_values(p: ValidELP) -> tuple[ExtValue, ExtValue]:
     """Optimal values of a two-sided-feasible pair from one certificate."""
-    i_n, j_n = p.A.shape
+    j_n = p.A.ncols
     block, rhs = _duality_block(p)
     out = solve_extended(block, rhs)
     if out.is_primal:
@@ -305,44 +299,26 @@ def _both_feasible_values(p: ValidELP, d: ValidELP) -> tuple[ExtValue, ExtValue]
             )
         return val_p, val_d
     # Dual certificate of the combined system: unreachable for a
-    # two-sided-feasible valid program.  With a positive scale entry the
-    # rescaled parts still verify as solutions, which contradicts weak
+    # two-sided-feasible valid program, since it would contradict weak
     # duality; surface that loudly rather than guessing an optimum.
-    w = out.y
-    z = w[-1]
-    if z > 0:
-        telemetry["block_dual_scaled"] += 1
-        x = tuple(v / z for v in w[i_n : i_n + j_n])
-        y = tuple(v / z for v in w[:i_n])
-        solution_pair = is_solution(p, x) and is_solution(d, y)
-        val_sum = dot_weig(p.c, x) + dot_weig(p.b, y)
-        raise TheoremViolationError(
-            "combined system returned a scalable certificate "
-            f"(verifying solution pair: {solution_pair}, value sum {val_sum} < 0) "
-            "contradicting weak duality"
-        )
     raise TheoremViolationError(
-        "combined system returned a certificate with zero scale entry "
-        "for a two-sided-feasible program"
+        "combined system returned a certificate for a two-sided-feasible program"
     )
 
 
-def _optimum_pair_known(p: ValidELP, d: ValidELP, fp: bool, fd: bool) -> tuple[Optimum, Optimum]:
+def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
+    """Optima of a valid program and its dual, sharing the solver work."""
+    p = _as_valid(p)
+    fp = is_feasible(p)
+    fd = is_feasible(dualize(p))
     if not fp and not fd:
         return Optimum.of(TOP), Optimum.of(TOP)
     if not fp:
         return Optimum.of(TOP), Optimum.of(BOT)
     if not fd:
         return Optimum.of(BOT), Optimum.of(TOP)
-    val_p, val_d = _both_feasible_values(p, d)
+    val_p, val_d = _both_feasible_values(p)
     return Optimum.of(val_p), Optimum.of(val_d)
-
-
-def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
-    """Optima of a valid program and its dual, sharing the solver work."""
-    p = _as_valid(p)
-    d = dualize(p)
-    return _optimum_pair_known(p, d, is_feasible(p), is_feasible(d))
 
 
 def optimum(p: ExtendedLP) -> Optimum:
@@ -391,13 +367,9 @@ def strong_duality_check(p: ExtendedLP) -> bool:
     optima are both top, the theorem does not apply, and this raises
     PreconditionError.
     """
-    p = _as_valid(p)
-    d = dualize(p)
-    fp = is_feasible(p)
-    fd = is_feasible(d)
-    if not fp and not fd:
+    opt_p, opt_d = optimum_pair(p)
+    if opt_p.value.is_top and opt_d.value.is_top:
         raise PreconditionError(
             "strong_duality_check: both the program and its dual are infeasible"
         )
-    opt_p, opt_d = _optimum_pair_known(p, d, fp, fd)
     return opposites_opt(opt_p, opt_d)

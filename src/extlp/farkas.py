@@ -11,7 +11,7 @@ The ground solver :func:`farkas_bartl` decides, for rational functionals
 * primal: ``x >= 0`` with ``sum_i x[i] * rows[i] == target``, and
 * dual: ``y`` with ``rows[i] . y >= 0`` for all i and ``target . y < 0``,
 
-by recursion on the number of functionals.  The inequality and extended
+by induction on the number of functionals.  The inequality and extended
 solvers are reductions to it that carry their certificates back along the
 reduction.
 """
@@ -32,6 +32,7 @@ from .extlinalg import (
     mul_weig,
     neg_transpose,
     rat_dot,
+    rat_identity,
     rat_mat_vec,
     rat_transpose,
     rat_vector,
@@ -43,7 +44,6 @@ __all__ = [
     "farkas_bartl",
     "solve_equality",
     "solve_inequality",
-    "solve_inequality_neg",
     "solve_extended",
     "system_preconditions",
     "MIXED_ROW",
@@ -96,7 +96,6 @@ def farkas_bartl(rows: Sequence[Sequence], target: Sequence) -> FarkasOutcome:
 
     Returns ``primal(x)`` with ``x >= 0``, ``sum_i x[i]*rows[i] == target``,
     or ``dual(y)`` with ``rows[i].y >= 0`` for every i and ``target.y < 0``.
-    Recursion depth equals ``len(rows)``.
     """
     b = rat_vector(target)
     d = len(b)
@@ -107,52 +106,77 @@ def farkas_bartl(rows: Sequence[Sequence], target: Sequence) -> FarkasOutcome:
     return _bartl(rs, b)
 
 
-def _bartl(rows: list[tuple[Fraction, ...]], b: tuple[Fraction, ...]) -> FarkasOutcome:
-    if not rows:
-        # no functionals: primal iff the target is the zero functional,
-        # otherwise a signed basis vector witnesses target.y < 0
-        for k, t in enumerate(b):
-            if t != 0:
-                y = [_F0] * len(b)
-                y[k] = -_F1 if t > 0 else _F1
-                return FarkasOutcome.dual(y)
-        return FarkasOutcome.primal(())
+def _bartl(rows: Sequence[tuple[Fraction, ...]], b: tuple[Fraction, ...]) -> FarkasOutcome:
+    # no functionals: primal iff the target is the zero functional,
+    # otherwise a signed basis vector witnesses target.y < 0
+    out = FarkasOutcome.primal(())
+    for k, t in enumerate(b):
+        if t != 0:
+            y = [_F0] * len(b)
+            y[k] = -_F1 if t > 0 else _F1
+            out = FarkasOutcome.dual(y)
+            break
 
-    m = len(rows) - 1
-    head, last = rows[:m], rows[m]
-    out = _bartl(head, b)
-    if out.is_primal:
-        # the last functional is not needed: give it weight zero
-        return FarkasOutcome.primal(out.x + (_F0,))
+    # extend the answer for the prefix rows[:m] to rows[:m + 1]; only the
+    # projected system recurses, so the depth counts nested projections,
+    # not functionals
+    for m, last in enumerate(rows):
+        if out.is_primal:
+            # the remaining functionals are not needed: give them weight zero
+            return FarkasOutcome.primal(out.x + (_F0,) * (len(rows) - m))
 
-    yp = out.y
-    t = rat_dot(last, yp)
-    if t >= 0:
-        return out
+        yp = out.y
+        t = rat_dot(last, yp)
+        if t >= 0:
+            continue
 
-    # last.yp < 0: normalize so the last functional takes value 1 on y,
-    # then project it out of the head functionals and the target
-    y = tuple(v / t for v in yp)
-    b_y = rat_dot(b, y)
-    head_y = [rat_dot(r, y) for r in head]
-    reduced = [
-        tuple(rk - ry * lk for rk, lk in zip(r, last))
-        for r, ry in zip(head, head_y)
-    ]
-    reduced_b = tuple(bk - b_y * lk for bk, lk in zip(b, last))
-    out2 = _bartl(reduced, reduced_b)
+        # last.yp < 0: normalize so the last functional takes value 1 on y,
+        # then project it out of the head functionals and the target
+        head = rows[:m]
+        y = tuple(v / t for v in yp)
+        b_y = rat_dot(b, y)
+        head_y = [rat_dot(r, y) for r in head]
+        reduced = [
+            tuple(rk - ry * lk for rk, lk in zip(r, last))
+            for r, ry in zip(head, head_y)
+        ]
+        reduced_b = tuple(bk - b_y * lk for bk, lk in zip(b, last))
+        out2 = _bartl(reduced, reduced_b)
 
-    if out2.is_primal:
-        x_last = b_y - sum((ry * xi for ry, xi in zip(head_y, out2.x)), _F0)
-        if x_last < 0:
-            raise TheoremViolationError(
-                f"constructed weight for the last functional is negative: {x_last}"
-            )
-        return FarkasOutcome.primal(out2.x + (x_last,))
+        if out2.is_primal:
+            x_last = b_y - sum((ry * xi for ry, xi in zip(head_y, out2.x)), _F0)
+            if x_last < 0:
+                raise TheoremViolationError(
+                    f"constructed weight for the last functional is negative: {x_last}"
+                )
+            out = FarkasOutcome.primal(out2.x + (x_last,))
+        else:
+            w = out2.y
+            s = rat_dot(last, w)
+            out = FarkasOutcome.dual(tuple(wk - s * yk for wk, yk in zip(w, y)))
+    return out
 
-    w = out2.y
-    s = rat_dot(last, w)
-    return FarkasOutcome.dual(tuple(wk - s * yk for wk, yk in zip(w, y)))
+
+def _rational_system(a: Sequence[Sequence], b: Sequence, ncols: int | None) -> tuple[list, tuple, int]:
+    """``(A, b)`` as Fractions with their shape checked, and the width of ``A``.
+
+    ``ncols`` is only needed when ``A`` has no rows; it defaults to 0 there.
+    """
+    mat = [rat_vector(row) for row in a]
+    rhs = rat_vector(b)
+    if len(mat) != len(rhs):
+        raise DimensionError(f"{len(mat)} rows vs {len(rhs)} rhs entries")
+    if mat:
+        widths = {len(row) for row in mat}
+        if len(widths) != 1:
+            raise DimensionError(f"ragged rows: widths {sorted(widths)}")
+        width = widths.pop()
+        if ncols is not None and ncols != width:
+            raise DimensionError(f"ncols {ncols} does not match row width {width}")
+        ncols = width
+    elif ncols is None:
+        ncols = 0
+    return mat, rhs, ncols
 
 
 def solve_equality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> FarkasOutcome:
@@ -163,19 +187,8 @@ def solve_equality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None)
     :func:`farkas_bartl` as functionals on the row space.  ``ncols`` is
     only needed when ``A`` has no rows (the width is ambiguous there).
     """
-    mat = [rat_vector(row) for row in a]
-    rhs = rat_vector(b)
-    if len(rhs) != len(mat):
-        raise DimensionError(f"{len(mat)} rows vs {len(rhs)} rhs entries")
-    if mat:
-        width = len(mat[0])
-        if ncols is not None and ncols != width:
-            raise DimensionError(f"ncols {ncols} does not match row width {width}")
-        ncols = width
-    elif ncols is None:
-        ncols = 0
-    cols = rat_transpose(mat, ncols=ncols) if mat else ((),) * ncols
-    return farkas_bartl(cols, rhs)
+    mat, rhs, ncols = _rational_system(a, b, ncols)
+    return _bartl(rat_transpose(mat, ncols=ncols), rhs)
 
 
 def solve_inequality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> FarkasOutcome:
@@ -183,38 +196,16 @@ def solve_inequality(a: Sequence[Sequence], b: Sequence, ncols: int | None = Non
 
     Reduces to :func:`solve_equality` on ``(I | A)`` and drops the slack
     block from a primal witness; the identity columns force the dual
-    certificate to be nonnegative, so it passes through unchanged.
+    certificate to be nonnegative, so it passes through unchanged.  Read as
+    ``(-A^T) y <= 0``, the certificate has the form the extended solver
+    embeds into.
     """
-    mat = [rat_vector(row) for row in a]
-    rhs = rat_vector(b)
-    if len(mat) != len(rhs):
-        raise DimensionError(f"{len(mat)} rows vs {len(rhs)} rhs entries")
-    if mat:
-        width = len(mat[0])
-        if ncols is not None and ncols != width:
-            raise DimensionError(f"ncols {ncols} does not match row width {width}")
-        ncols = width
-    elif ncols is None:
-        ncols = 0
+    mat, rhs, ncols = _rational_system(a, b, ncols)
     n = len(mat)
-    aug = [
-        tuple(_F1 if i == j else _F0 for j in range(n)) + mat[i]
-        for i in range(n)
-    ]
-    out = solve_equality(aug, rhs, ncols=n + ncols)
+    out = _bartl(rat_identity(n) + rat_transpose(mat, ncols=ncols), rhs)
     if out.is_primal:
         return FarkasOutcome.primal(out.x[n:])
     return out
-
-
-def solve_inequality_neg(a: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> FarkasOutcome:
-    """Same alternative as :func:`solve_inequality`, same witnesses.
-
-    Only the reading of the dual certificate differs: ``(-A^T) y <= 0``
-    instead of ``A^T y >= 0``, which is the form the extended solver embeds
-    into.  Over finite entries the two conditions coincide.
-    """
-    return solve_inequality(a, b, ncols=ncols)
 
 
 MIXED_ROW = "mixed_row"
@@ -275,8 +266,9 @@ def solve_extended(a: ExtMatrix, b: ExtVector) -> FarkasOutcome:
       ``y = 0`` is a certificate: ``0 * bot == bot`` gives ``b . y == bot < 0``
       while ``(-A^T) y`` is entrywise 0 or bot;
     * otherwise the residual is all finite and goes to
-      :func:`solve_inequality_neg`, whose witness is re-expanded with zeros
-      at the masked positions.
+      :func:`solve_inequality`, whose dual certificate is read as
+      ``(-A^T) y <= 0``; the witness is re-expanded with zeros at the
+      masked positions.
     """
     if a.nrows != len(b):
         raise DimensionError(f"{a.nrows} rows vs {len(b)} rhs entries")
@@ -302,7 +294,7 @@ def solve_extended(a: ExtMatrix, b: ExtVector) -> FarkasOutcome:
         for i in keep_rows
     ]
     rhs = [b[i].finite_value for i in keep_rows]
-    out = solve_inequality_neg(sub, rhs, ncols=len(keep_cols))
+    out = solve_inequality(sub, rhs, ncols=len(keep_cols))
     if out.is_primal:
         return FarkasOutcome.primal(scatter(out.x, keep_cols, a.ncols))
     return FarkasOutcome.dual(scatter(out.y, keep_rows, a.nrows))
@@ -370,9 +362,7 @@ def dual_infeasibility_search(a: Sequence[Sequence], b: Sequence) -> tuple[Fract
     non-strict reformulation ``-A^T y <= 0, b . y <= -1, y >= 0`` is; that
     one is decided by :func:`solve_inequality`.
     """
-    mat = [rat_vector(r) for r in a]
-    rhs = rat_vector(b)
-    ncols = len(mat[0]) if mat else 0
+    mat, rhs, ncols = _rational_system(a, b, None)
     cols = rat_transpose(mat, ncols=ncols)
     sys_rows = [tuple(-v for v in col) for col in cols]
     sys_rows.append(tuple(rhs))

@@ -186,6 +186,33 @@ def test_farkas_ineq_neg_mode(capsys):
     code, out, _ = run_cli(["farkas", "lunch.lp", "--mode", "ineq-neg"], capsys)
     assert code == EXIT_OK
     assert "outcome primal" in out.splitlines()
+    # the same solve as ineq: the reports differ only in the mode line
+    for fixture in ("lunch.lp", "farkas_bot.lp"):
+        code_neg, out_neg, _ = run_cli(["farkas", fixture, "--mode", "ineq-neg"], capsys)
+        code, out, _ = run_cli(["farkas", fixture, "--mode", "ineq"], capsys)
+        assert code_neg == code
+        lines_neg, lines = out_neg.splitlines(), out.splitlines()
+        assert lines_neg.count("mode ineq-neg") == 1 and lines.count("mode ineq") == 1
+        assert [l for l in lines_neg if l != "mode ineq-neg"] == [l for l in lines if l != "mode ineq"]
+
+
+def test_farkas_equality_mode_on_many_columns(tmp_path, capsys):
+    wide = tmp_path / "wide.lp"
+    wide.write_text("rows 1\ncols 1000\nA\n" + " ".join(["1"] * 1000) + "\nb\n1\n")
+    code, out, err = run_cli(["farkas", str(wide), "--mode", "eq"], capsys)
+    assert code == EXIT_OK and err == ""
+    assert "verified true" in out.splitlines()
+
+
+def test_solve_invalid_program_beyond_the_oracle_cap(tmp_path, capsys):
+    # invalid (bot in A[0] and b[0]), so solve goes to the oracle, whose
+    # row cap is 12
+    tall = tmp_path / "tall.lp"
+    tall.write_text("rows 13\ncols 1\nA\nbot\n" + "1\n" * 12 + "b\nbot" + " 0" * 12 + "\nc\n1\n")
+    code, out, err = run_cli(["solve", str(tall)], capsys)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_solve_oracle_flag_on_invalid_program(capsys):

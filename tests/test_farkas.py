@@ -17,7 +17,6 @@ from extlp import (
     solve_equality,
     solve_extended,
     solve_inequality,
-    solve_inequality_neg,
     system_preconditions,
     verify_dual_eq,
     verify_dual_ext,
@@ -87,6 +86,21 @@ def test_equality_width_of_an_empty_system():
         solve_equality([[1, 2]], [1], ncols=3)
 
 
+def test_equality_rejects_ragged_rows():
+    with pytest.raises(DimensionError):
+        solve_equality([[1, 2], [1]], [1, 1])
+    with pytest.raises(DimensionError):
+        solve_inequality([[1], [1, 2]], [1, 1])
+
+
+def test_equality_many_functionals_do_not_deepen_the_recursion():
+    # 2000 functionals, twice the default recursion limit
+    a = [[1] * 2000]
+    out = solve_equality(a, [1])
+    assert out.is_primal and out.x == (1,) + (0,) * 1999
+    assert verify_primal_eq(a, [1], out.x)
+
+
 def test_equality_negative_solution_goes_dual():
     # x = -1 has no nonnegative solution
     a = [[1]]
@@ -117,7 +131,7 @@ def test_inequality_infeasible_band():
 def test_inequality_neg_shares_the_witness_semantics():
     a = [[1], [-1]]
     b = [1, -2]
-    out = solve_inequality_neg(a, b)
+    out = solve_inequality(a, b)
     assert out.is_dual
     # y >= 0 with (-A^T) y <= 0 and b.y < 0
     y = out.y
