@@ -16,10 +16,11 @@ pure constraint-system files)::
 
 Entries are ``bot``, ``top``, or exact rational literals (integer, ``p/q``
 or decimal).  Subcommands: ``validate``, ``dualize``, ``solve``,
-``farkas``.  Exit codes: 0 success, 2 precondition or validity violation
-(or a program beyond the brute-force oracle's size cap), 3 parse error,
-4 internal theorem violation (including oracle disagreement under
-``--oracle``).
+``farkas``.  ``solve`` answers valid and invalid programs from the certified
+core.  Exit codes: 0 success, 2 precondition or validity violation (or,
+under ``solve --oracle``, a program beyond the brute-force oracle's size
+cap), 3 parse error, 4 internal theorem violation (including oracle
+disagreement under ``--oracle``).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .elp import (
     ExtendedLP,
     dualize,
     opposites_opt,
+    optimum,
     optimum_pair,
     validate,
 )
@@ -52,7 +54,7 @@ from .farkas import (
     verify_primal_ext,
     verify_primal_ineq,
 )
-from .oracle import oracle_solve_extended
+from .oracle import MAX_ORACLE_COLS, MAX_ORACLE_ROWS, oracle_solve_extended
 
 __all__ = ["main", "parse_program_text", "format_program"]
 
@@ -237,14 +239,12 @@ def _cmd_dualize(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]:
 
 def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) -> tuple[str, int]:
     report = validate(prog)
-    reference = None
-    if with_oracle or not report.is_valid:
-        reference = (oracle_solve_extended(prog), oracle_solve_extended(dualize(prog)))
-    opt, dual_opt = optimum_pair(prog) if report.is_valid else reference
+    opt, dual_opt = optimum_pair(prog) if report.is_valid else (optimum(prog), optimum(dualize(prog)))
     opposites = opposites_opt(opt, dual_opt)
 
     oracle_verdict = None
     if with_oracle:
+        reference = (oracle_solve_extended(prog), oracle_solve_extended(dualize(prog)))
         if reference != (opt, dual_opt):
             raise TheoremViolationError(
                 f"oracle disagrees: optimum {opt}/{dual_opt} vs reference {reference[0]}/{reference[1]}"
@@ -433,8 +433,10 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ScaleLimitError as exc:
-        print(f"scale limit: {exc}", file=sys.stderr)
+    except ScaleLimitError:
+        # only solve --oracle raises it, naming a masked residual, not the input
+        cap = f"{MAX_ORACLE_ROWS}x{MAX_ORACLE_COLS}"
+        print(f"scale limit: the {a.nrows}x{a.ncols} input or its dual exceeds the oracle cap {cap}", file=sys.stderr)
         return EXIT_PRECONDITION
 
     sys.stdout.write(out)

@@ -7,10 +7,10 @@ be ``bot`` or ``top``.  The dual swaps the roles: ``dualize`` sends
 
 Validity is six index-level conditions that rule out the degenerate
 infinity placements under which duality breaks (the counterexample fixtures
-in the tests show each one failing individually).  All solving goes through
-the certificate solvers in :mod:`extlp.farkas`; for a two-sided-feasible
-valid program a single combined-system certificate pins both optima at
-once, with value sum exactly zero.
+in the tests show each one failing individually).  Every optimum, of a
+valid program or not, comes from one reduction: the infinity placements
+decide it or leave a finite program for :mod:`extlp.farkas`, where one
+combined certificate pins both optima of a two-sided-feasible pair.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .extlinalg import (
     le_vec,
     mul_weig,
     neg_transpose,
+    rat_dot,
     rat_vector,
 )
 from .farkas import (
@@ -39,7 +40,7 @@ from .farkas import (
     MIXED_COL,
     MIXED_ROW,
     TOP_ROW_TOP_RHS,
-    solve_extended,
+    solve_inequality,
     system_preconditions,
 )
 
@@ -208,24 +209,12 @@ def reaches(p: ExtendedLP, x: Sequence) -> ExtValue:
 
 
 def is_feasible(p: ExtendedLP) -> bool:
-    """Whether some solution reaches a value other than top.
-
-    Any bot entry in ``c`` forces every solution's value to bot (the zero
-    scale does not clear a bot), so feasibility is plain solvability there.
-    Otherwise a value differs from top exactly when the variables at
-    top-cost columns are zero, and validity guarantees those columns carry
-    no bot in ``A``, so they can be dropped outright.
-    """
-    p = _as_valid(p)
-    a = p.A
-    if not any(e.is_bot for e in p.c):
-        keep = [j for j in range(a.ncols) if not p.c[j].is_top]
-        if len(keep) != a.ncols:
-            a = ExtMatrix(
-                (ExtVector(row[j] for j in keep) for row in a.rows),
-                ncols=len(keep),
-            )
-    return solve_extended(a, p.b).is_primal
+    """Whether some solution of a valid program reaches a value other than top."""
+    residual = _residual(_as_valid(p))
+    if isinstance(residual, Optimum):
+        return not residual.value.is_top
+    a, b, c = residual
+    return solve_inequality(a, b, ncols=len(c)).is_primal
 
 
 def is_unbounded(p: ExtendedLP) -> bool:
@@ -268,66 +257,74 @@ def opposites_opt(p: Optimum, q: Optimum) -> bool:
     return p.value == -q.value
 
 
-def _duality_block(p: ValidELP) -> tuple[ExtMatrix, ExtVector]:
-    """The combined system whose solutions are pairs of mutually-bounding
-    solutions: rows ``[A | 0] <= b``, ``[0 | -A^T] <= c``, ``[c | b] <= 0``."""
-    a = p.A
-    i_n, j_n = a.shape
-    neg_t = neg_transpose(a)
-    rows = []
-    for i in range(i_n):
-        rows.append(ExtVector(tuple(a[i]) + (ZERO,) * i_n))
-    for j in range(j_n):
-        rows.append(ExtVector((ZERO,) * j_n + tuple(neg_t[j])))
-    rows.append(ExtVector(tuple(p.c) + tuple(p.b)))
-    rhs = ExtVector(tuple(p.b) + tuple(p.c) + (ZERO,))
-    return ExtMatrix(rows, ncols=i_n + j_n), rhs
+def _residual(p: ExtendedLP) -> Optimum | tuple[list, list, list]:
+    """The optimum if the infinity placements decide it, else the finite
+    residual program ``(A', b', c')``.
+
+    Rows that hold for every ``x`` (a bot in ``A``, a top in ``b``) drop out,
+    a surviving bot in ``b`` means top, and a top in a surviving row forces
+    its variable to zero.  A bot cost pins every value to bot, so solvability
+    decides bot or top; otherwise top-cost columns must be zero.  For a valid
+    program the dual's masks are the transposes of these.
+    """
+    a, b, c = p.A, p.b, p.c
+    live = [
+        i
+        for i in range(a.nrows)
+        if not b[i].is_top and not any(e.is_bot for e in a[i])
+    ]
+    if any(b[i].is_bot for i in live):
+        return Optimum.of(TOP)
+    bot_cost = any(e.is_bot for e in c)
+    keep = [
+        j
+        for j in range(a.ncols)
+        if not any(a[i][j].is_top for i in live) and (bot_cost or not c[j].is_top)
+    ]
+    sub = [tuple(a[i][j].finite_value for j in keep) for i in live]
+    rhs = [b[i].finite_value for i in live]
+    if bot_cost:
+        return Optimum.of(BOT if solve_inequality(sub, rhs, ncols=len(keep)).is_primal else TOP)
+    return sub, rhs, [c[j].finite_value for j in keep]
 
 
-def _both_feasible_values(p: ValidELP) -> tuple[ExtValue, ExtValue]:
-    """Optimal values of a two-sided-feasible pair from one certificate."""
-    j_n = p.A.ncols
-    block, rhs = _duality_block(p)
-    out = solve_extended(block, rhs)
-    if out.is_primal:
-        x, y = out.x[:j_n], out.x[j_n:]
-        val_p = dot_weig(p.c, x)
-        val_d = dot_weig(p.b, y)
-        if val_p + val_d != ZERO or not val_p.is_finite:
-            raise TheoremViolationError(
-                f"combined certificate has value sum {val_p + val_d}, expected 0"
-            )
-        return val_p, val_d
-    # Dual certificate of the combined system: unreachable for a
-    # two-sided-feasible valid program, since it would contradict weak
-    # duality; surface that loudly rather than guessing an optimum.
-    raise TheoremViolationError(
-        "combined system returned a certificate for a two-sided-feasible program"
-    )
+def _finite_pair(a: list, b: list, c: list) -> tuple[Optimum, Optimum]:
+    """Optima of a finite program and its dual: feasibility of each side,
+    then, if both are feasible, one certificate of the combined system
+    ``[A | 0] <= b``, ``[0 | -A^T] <= c``, ``[c | b] <= 0``."""
+    m, n = len(b), len(c)
+    neg_t = [tuple(-a[i][j] for i in range(m)) for j in range(n)]
+    fp = solve_inequality(a, b, ncols=n).is_primal
+    fd = solve_inequality(neg_t, c, ncols=m).is_primal
+    if not (fp and fd):
+        return Optimum.of(BOT if fp else TOP), Optimum.of(BOT if fd else TOP)
+    block = [row + (0,) * m for row in a] + [(0,) * n + row for row in neg_t] + [tuple(c + b)]
+    out = solve_inequality(block, b + c + [0], ncols=n + m)
+    if not out.is_primal:  # it would contradict weak duality
+        raise TheoremViolationError("combined system returned a certificate for a two-sided-feasible program")
+    val_p, val_d = rat_dot(c, out.x[:n]), rat_dot(b, out.x[n:])
+    if val_p + val_d != 0:
+        raise TheoremViolationError(f"combined certificate has value sum {val_p + val_d}, expected 0")
+    return Optimum.of(val_p), Optimum.of(val_d)
 
 
 def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
     """Optima of a valid program and its dual, sharing the solver work."""
     p = _as_valid(p)
-    fp = is_feasible(p)
-    fd = is_feasible(dualize(p))
-    if not fp and not fd:
-        return Optimum.of(TOP), Optimum.of(TOP)
-    if not fp:
-        return Optimum.of(TOP), Optimum.of(BOT)
-    if not fd:
-        return Optimum.of(BOT), Optimum.of(TOP)
-    val_p, val_d = _both_feasible_values(p)
-    return Optimum.of(val_p), Optimum.of(val_d)
+    residual = _residual(p)
+    if isinstance(residual, Optimum):
+        return residual, optimum(dualize(p))
+    return _finite_pair(*residual)
 
 
 def optimum(p: ExtendedLP) -> Optimum:
-    """The exact optimum of a valid program.
+    """The exact optimum of any program, valid or not.
 
-    top when infeasible, bot when feasible with infeasible dual (that is,
-    unbounded), otherwise an attained finite value.  Never absent.
+    top when infeasible, bot when feasible with no finite lower bound,
+    otherwise an attained finite value.  Never absent.
     """
-    return optimum_pair(p)[0]
+    residual = _residual(p)
+    return residual if isinstance(residual, Optimum) else _finite_pair(*residual)[0]
 
 
 def is_bounded_by(p: ExtendedLP, r) -> bool:

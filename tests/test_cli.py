@@ -17,6 +17,7 @@ from extlp.cli import (
     parse_program_text,
 )
 from extlp.elp import ExtendedLP, dualize
+from extlp.oracle import oracle_solve_extended
 from conftest import fixture_path, golden_text
 
 GOLDEN_RUNS = [
@@ -204,15 +205,30 @@ def test_farkas_equality_mode_on_many_columns(tmp_path, capsys):
     assert "verified true" in out.splitlines()
 
 
-def test_solve_invalid_program_beyond_the_oracle_cap(tmp_path, capsys):
-    # invalid (bot in A[0] and b[0]), so solve goes to the oracle, whose
-    # row cap is 12
+def _tall_invalid_program(tmp_path):
+    # invalid (bot in A[0] and b[0]) and over the oracle's 12-row cap; rows
+    # 1..12 repeat one finite row, so the 2x1 program made of rows 0 and 1
+    # has the same optima
     tall = tmp_path / "tall.lp"
     tall.write_text("rows 13\ncols 1\nA\nbot\n" + "1\n" * 12 + "b\nbot" + " 0" * 12 + "\nc\n1\n")
-    code, out, err = run_cli(["solve", str(tall)], capsys)
-    assert code == EXIT_PRECONDITION
-    assert out == ""
+    return tall
+
+
+def test_solve_invalid_program_beyond_the_oracle_cap(tmp_path, capsys):
+    code, out, err = run_cli(["solve", str(_tall_invalid_program(tmp_path))], capsys)
+    assert code == EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert ["optimum 0", "dual_optimum bot", "opposites false"] == lines[-3:]
+    reduced = ExtendedLP([["bot"], [1]], ["bot", 0], [1])
+    assert str(oracle_solve_extended(reduced)) == "0"
+    assert str(oracle_solve_extended(dualize(reduced))) == "bot"
+
+
+def test_solve_oracle_flag_beyond_the_oracle_cap_names_the_input(tmp_path, capsys):
+    code, out, err = run_cli(["solve", str(_tall_invalid_program(tmp_path)), "--oracle"], capsys)
+    assert code == EXIT_PRECONDITION and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "13x1" in err and "12x8" in err
 
 
 def test_solve_oracle_flag_on_invalid_program(capsys):

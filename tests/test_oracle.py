@@ -15,6 +15,7 @@ from extlp import (
     gen_valid_elp,
     is_feasible,
     opposites_opt,
+    optimum,
     optimum_pair,
     oracle_feasible_point,
     oracle_solve_extended,
@@ -107,12 +108,37 @@ def test_elimination_matches_vertices_on_random_systems():
 
 
 def test_extended_oracle_on_counterexample_fixtures():
-    for p_name, d_name in (("p1.lp", "d1.lp"), ("p2.lp", "d2.lp"), ("p3.lp", "d3.lp")):
-        p_opt = oracle_solve_extended(load_program(p_name))
-        d_opt = oracle_solve_extended(load_program(d_name))
-        assert p_opt.value == finite(0), p_name
-        assert d_opt.value == BOT, d_name
-        assert not opposites_opt(p_opt, d_opt)
+    pairs = (("p1.lp", "d1.lp"), ("p2.lp", "d2.lp"), ("p3.lp", "d3.lp"))
+    for solve in (oracle_solve_extended, optimum):
+        for p_name, d_name in pairs:
+            p_opt = solve(load_program(p_name))
+            d_opt = solve(load_program(d_name))
+            assert p_opt.value == finite(0), (solve.__name__, p_name)
+            assert d_opt.value == BOT, (solve.__name__, d_name)
+            assert not opposites_opt(p_opt, d_opt)
+
+
+def test_certified_optimum_matches_oracle_on_invalid_programs():
+    rng = random.Random(2024)
+
+    def entry():
+        if rng.random() < 0.3:
+            return rng.choice(("bot", "top"))
+        return rng.randint(-3, 3)
+
+    checked = 0
+    while checked < 500:
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        p = ExtendedLP(
+            [[entry() for _ in range(n)] for _ in range(m)],
+            [entry() for _ in range(m)],
+            [entry() for _ in range(n)],
+        )
+        if validate(p).is_valid:
+            continue
+        checked += 1
+        assert optimum(p) == oracle_solve_extended(p), p
+        assert optimum(dualize(p)) == oracle_solve_extended(dualize(p)), p
 
 
 def test_extended_oracle_agrees_with_pipeline_on_lunch(lunch):
