@@ -39,7 +39,6 @@ from .elp import (
     ExtendedLP,
     dualize,
     opposites_opt,
-    optimum,
     optimum_pair,
     validate,
 )
@@ -168,6 +167,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _header(ctx: dict) -> list[str]:
+    """The report's ``command``/``input``/``digest``/``seed`` lines; the JSON
+    form starts from ``ctx`` itself."""
+    return [f"{key} {_fmt(value)}" for key, value in ctx.items()]
+
+
 def _emit(lines: list[str], data: dict, as_json: bool) -> str:
     if as_json:
         return json.dumps(data) + "\n"
@@ -182,11 +187,7 @@ def _require_cost(c: ExtVector | None) -> ExtVector:
 
 def _cmd_validate(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]:
     report = validate(prog)
-    lines = [
-        f"command validate",
-        f"input {ctx['input']}",
-        f"digest {ctx['digest']}",
-        f"seed {_fmt(ctx['seed'])}",
+    lines = _header(ctx) + [
         f"rows {prog.A.nrows}",
         f"cols {prog.A.ncols}",
     ]
@@ -198,16 +199,13 @@ def _cmd_validate(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]
         else:
             lines.append(f"{name} ok")
     lines.append(f"valid {_fmt(report.is_valid)}")
-    data = {
-        "command": "validate",
-        "input": ctx["input"],
-        "digest": ctx["digest"],
-        "seed": ctx["seed"],
-        "rows": prog.A.nrows,
-        "cols": prog.A.ncols,
-        "conditions": {name: list(idx) for name, idx in conditions.items()},
-        "valid": report.is_valid,
-    }
+    data = dict(
+        ctx,
+        rows=prog.A.nrows,
+        cols=prog.A.ncols,
+        conditions={name: list(idx) for name, idx in conditions.items()},
+        valid=report.is_valid,
+    )
     code = EXIT_OK if report.is_valid else EXIT_PRECONDITION
     return _emit(lines, data, as_json), code
 
@@ -215,31 +213,21 @@ def _cmd_validate(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]
 def _cmd_dualize(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]:
     dual = dualize(prog)
     if as_json:
-        data = {
-            "command": "dualize",
-            "input": ctx["input"],
-            "digest": ctx["digest"],
-            "seed": ctx["seed"],
-            "program": {
-                "rows": dual.A.nrows,
-                "cols": dual.A.ncols,
-                "A": [[format_ext(e) for e in row] for row in dual.A],
-                "b": [format_ext(e) for e in dual.b],
-                "c": [format_ext(e) for e in dual.c],
-            },
+        program = {
+            "rows": dual.A.nrows,
+            "cols": dual.A.ncols,
+            "A": [[format_ext(e) for e in row] for row in dual.A],
+            "b": [format_ext(e) for e in dual.b],
+            "c": [format_ext(e) for e in dual.c],
         }
-        return json.dumps(data) + "\n", EXIT_OK
-    comments = (
-        "command dualize",
-        f"input {ctx['input']}",
-        f"digest {ctx['digest']}",
-    )
-    return format_program(dual.A, dual.b, dual.c, comments), EXIT_OK
+        return json.dumps(dict(ctx, program=program)) + "\n", EXIT_OK
+    # the seed stays out of the dual program's comments
+    return format_program(dual.A, dual.b, dual.c, tuple(_header(ctx)[:3])), EXIT_OK
 
 
 def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) -> tuple[str, int]:
     report = validate(prog)
-    opt, dual_opt = optimum_pair(prog) if report.is_valid else (optimum(prog), optimum(dualize(prog)))
+    opt, dual_opt = optimum_pair(prog)
     opposites = opposites_opt(opt, dual_opt)
 
     oracle_verdict = None
@@ -251,11 +239,7 @@ def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) ->
             )
         oracle_verdict = "agree"
 
-    lines = [
-        f"command solve",
-        f"input {ctx['input']}",
-        f"digest {ctx['digest']}",
-        f"seed {_fmt(ctx['seed'])}",
+    lines = _header(ctx) + [
         f"rows {prog.A.nrows}",
         f"cols {prog.A.ncols}",
         f"valid {_fmt(report.is_valid)}",
@@ -269,20 +253,17 @@ def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) ->
     ]
     if oracle_verdict:
         lines.append(f"oracle {oracle_verdict}")
-    data = {
-        "command": "solve",
-        "input": ctx["input"],
-        "digest": ctx["digest"],
-        "seed": ctx["seed"],
-        "rows": prog.A.nrows,
-        "cols": prog.A.ncols,
-        "valid": report.is_valid,
-        "violations": {name: list(idx) for name, idx in report.failed().items()},
-        "optimum": str(opt),
-        "dual_optimum": str(dual_opt),
-        "opposites": opposites,
-        "oracle": oracle_verdict,
-    }
+    data = dict(
+        ctx,
+        rows=prog.A.nrows,
+        cols=prog.A.ncols,
+        valid=report.is_valid,
+        violations={name: list(idx) for name, idx in report.failed().items()},
+        optimum=str(opt),
+        dual_optimum=str(dual_opt),
+        opposites=opposites,
+        oracle=oracle_verdict,
+    )
     return _emit(lines, data, as_json), EXIT_OK
 
 
@@ -308,20 +289,8 @@ _FARKAS_MODES["ineq-neg"] = _FARKAS_MODES["ineq"]
 
 
 def _cmd_farkas(a: ExtMatrix, b: ExtVector, ctx: dict, as_json: bool, mode: str) -> tuple[str, int]:
-    base_lines = [
-        f"command farkas",
-        f"input {ctx['input']}",
-        f"digest {ctx['digest']}",
-        f"seed {_fmt(ctx['seed'])}",
-        f"mode {mode}",
-    ]
-    base_data = {
-        "command": "farkas",
-        "input": ctx["input"],
-        "digest": ctx["digest"],
-        "seed": ctx["seed"],
-        "mode": mode,
-    }
+    base_lines = _header(ctx) + [f"mode {mode}"]
+    base_data = dict(ctx, mode=mode)
 
     solve, verify_primal, verify_dual = _FARKAS_MODES[mode]
     violations = _farkas_preconditions(a, b, mode)
@@ -409,6 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
 
     ctx = {
+        "command": args.command,
         "input": os.path.basename(args.file),
         "digest": hashlib.sha256(text.encode()).hexdigest()[:16],
         "seed": seed,

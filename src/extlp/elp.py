@@ -9,8 +9,12 @@ Validity is six index-level conditions that rule out the degenerate
 infinity placements under which duality breaks (the counterexample fixtures
 in the tests show each one failing individually).  Every optimum, of a
 valid program or not, comes from one reduction: the infinity placements
-decide it or leave a finite program for :mod:`extlp.farkas`, where one
-combined certificate pins both optima of a two-sided-feasible pair.
+decide it or leave a finite program for :mod:`extlp.farkas`.  When the
+dual's finite program is the negated transpose of the primal's, as it is
+for every valid program, one combined certificate pins both optima of a
+two-sided-feasible pair; otherwise each side is decided on its own.  Only
+``is_unbounded`` and ``strong_duality_check`` rest on duality and so
+require validity.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .farkas import (
     MIXED_COL,
     MIXED_ROW,
     TOP_ROW_TOP_RHS,
+    infinity_masks,
     solve_inequality,
     system_preconditions,
 )
@@ -209,8 +214,9 @@ def reaches(p: ExtendedLP, x: Sequence) -> ExtValue:
 
 
 def is_feasible(p: ExtendedLP) -> bool:
-    """Whether some solution of a valid program reaches a value other than top."""
-    residual = _residual(_as_valid(p))
+    """Whether some solution of any program, valid or not, reaches a value
+    other than top."""
+    residual = _residual(p.A, p.b, p.c)
     if isinstance(residual, Optimum):
         return not residual.value.is_top
     a, b, c = residual
@@ -218,7 +224,8 @@ def is_feasible(p: ExtendedLP) -> bool:
 
 
 def is_unbounded(p: ExtendedLP) -> bool:
-    """Feasible with no finite lower bound; decided through dual feasibility."""
+    """Feasible with no finite lower bound; decided through dual feasibility,
+    so the program must be valid."""
     p = _as_valid(p)
     return is_feasible(p) and not is_feasible(dualize(p))
 
@@ -257,30 +264,22 @@ def opposites_opt(p: Optimum, q: Optimum) -> bool:
     return p.value == -q.value
 
 
-def _residual(p: ExtendedLP) -> Optimum | tuple[list, list, list]:
-    """The optimum if the infinity placements decide it, else the finite
-    residual program ``(A', b', c')``.
+def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector) -> Optimum | tuple[list, list, list]:
+    """The optimum of ``(A, b, c)`` if the infinity placements decide it,
+    else the finite residual program ``(A', b', c')``.
 
-    Rows that hold for every ``x`` (a bot in ``A``, a top in ``b``) drop out,
-    a surviving bot in ``b`` means top, and a top in a surviving row forces
-    its variable to zero.  A bot cost pins every value to bot, so solvability
-    decides bot or top; otherwise top-cost columns must be zero.  For a valid
-    program the dual's masks are the transposes of these.
+    :func:`~extlp.farkas.infinity_masks` drops the rows that always hold
+    and the columns a live top forces to zero, or finds a live bot
+    right-hand side, which means top.  A bot cost pins every value to bot,
+    so solvability decides bot or top; otherwise top-cost columns must be
+    zero.
     """
-    a, b, c = p.A, p.b, p.c
-    live = [
-        i
-        for i in range(a.nrows)
-        if not b[i].is_top and not any(e.is_bot for e in a[i])
-    ]
-    if any(b[i].is_bot for i in live):
+    masks = infinity_masks(a, b)
+    if masks is None:
         return Optimum.of(TOP)
+    live, free = masks
     bot_cost = any(e.is_bot for e in c)
-    keep = [
-        j
-        for j in range(a.ncols)
-        if not any(a[i][j].is_top for i in live) and (bot_cost or not c[j].is_top)
-    ]
+    keep = free if bot_cost else [j for j in free if not c[j].is_top]
     sub = [tuple(a[i][j].finite_value for j in keep) for i in live]
     rhs = [b[i].finite_value for i in live]
     if bot_cost:
@@ -288,12 +287,16 @@ def _residual(p: ExtendedLP) -> Optimum | tuple[list, list, list]:
     return sub, rhs, [c[j].finite_value for j in keep]
 
 
+def _neg_t(a: list, m: int, n: int) -> list:
+    return [tuple(-a[i][j] for i in range(m)) for j in range(n)]
+
+
 def _finite_pair(a: list, b: list, c: list) -> tuple[Optimum, Optimum]:
     """Optima of a finite program and its dual: feasibility of each side,
     then, if both are feasible, one certificate of the combined system
     ``[A | 0] <= b``, ``[0 | -A^T] <= c``, ``[c | b] <= 0``."""
     m, n = len(b), len(c)
-    neg_t = [tuple(-a[i][j] for i in range(m)) for j in range(n)]
+    neg_t = _neg_t(a, m, n)
     fp = solve_inequality(a, b, ncols=n).is_primal
     fd = solve_inequality(neg_t, c, ncols=m).is_primal
     if not (fp and fd):
@@ -308,13 +311,25 @@ def _finite_pair(a: list, b: list, c: list) -> tuple[Optimum, Optimum]:
     return Optimum.of(val_p), Optimum.of(val_d)
 
 
+def _decide(residual: Optimum | tuple[list, list, list]) -> Optimum:
+    return residual if isinstance(residual, Optimum) else _finite_pair(*residual)[0]
+
+
 def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
-    """Optima of a valid program and its dual, sharing the solver work."""
-    p = _as_valid(p)
-    residual = _residual(p)
-    if isinstance(residual, Optimum):
-        return residual, optimum(dualize(p))
-    return _finite_pair(*residual)
+    """Optima of any program and of its dual ``(-A^T, c, b)``.
+
+    When both finite residuals exist and the dual's is the negated
+    transpose of the primal's, which holds for every valid program, one
+    :func:`_finite_pair` decides both sides; otherwise each side is decided
+    on its own.
+    """
+    primal = _residual(p.A, p.b, p.c)
+    dual = _residual(neg_transpose(p.A), p.c, p.b)
+    if not isinstance(primal, Optimum):
+        a, b, c = primal
+        if dual == (_neg_t(a, len(b), len(c)), c, b):
+            return _finite_pair(a, b, c)
+    return _decide(primal), _decide(dual)
 
 
 def optimum(p: ExtendedLP) -> Optimum:
@@ -323,8 +338,7 @@ def optimum(p: ExtendedLP) -> Optimum:
     top when infeasible, bot when feasible with no finite lower bound,
     otherwise an attained finite value.  Never absent.
     """
-    residual = _residual(p)
-    return residual if isinstance(residual, Optimum) else _finite_pair(*residual)[0]
+    return _decide(_residual(p.A, p.b, p.c))
 
 
 def is_bounded_by(p: ExtendedLP, r) -> bool:
@@ -364,7 +378,7 @@ def strong_duality_check(p: ExtendedLP) -> bool:
     optima are both top, the theorem does not apply, and this raises
     PreconditionError.
     """
-    opt_p, opt_d = optimum_pair(p)
+    opt_p, opt_d = optimum_pair(_as_valid(p))
     if opt_p.value.is_top and opt_d.value.is_top:
         raise PreconditionError(
             "strong_duality_check: both the program and its dual are infeasible"

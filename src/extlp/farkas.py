@@ -249,6 +249,26 @@ def system_preconditions(a: ExtMatrix, b: ExtVector) -> dict[str, tuple[int, ...
     return out
 
 
+def infinity_masks(a: ExtMatrix, b: ExtVector) -> tuple[list[int], list[int]] | None:
+    """The rows of ``A x <= b`` that can fail and the columns left free.
+
+    A row holds for every ``x`` when it carries a bot in ``A`` (its value is
+    pinned to bot) or has a top right-hand side; the others are live.  A top
+    in a live row forces its variable to zero.  Returns the live rows and
+    the columns no live top forces, or None when a live row has a bot
+    right-hand side, which no all-finite row value can meet.
+    """
+    live = [
+        i
+        for i in range(a.nrows)
+        if not b[i].is_top and not any(e.is_bot for e in a[i])
+    ]
+    if any(b[i].is_bot for i in live):
+        return None
+    free = [j for j in range(a.ncols) if not any(a[i][j].is_top for i in live)]
+    return live, free
+
+
 def solve_extended(a: ExtMatrix, b: ExtVector) -> FarkasOutcome:
     """Alternative for ``A x <= b`` with extended entries.
 
@@ -258,11 +278,10 @@ def solve_extended(a: ExtMatrix, b: ExtVector) -> FarkasOutcome:
 
     Requires the four named hypotheses of :func:`system_preconditions`;
     violations raise :class:`PreconditionError`.  The solve itself masks
-    tautological rows (a bot entry in A, or a top right-hand side), then
-    columns carrying top in a surviving row (their variables are forced to
-    zero), then dispatches on the residual:
+    rows and columns with :func:`infinity_masks`, then dispatches on the
+    residual:
 
-    * a surviving bot right-hand side makes the system unsatisfiable, and
+    * a live bot right-hand side makes the system unsatisfiable, and
       ``y = 0`` is a certificate: ``0 * bot == bot`` gives ``b . y == bot < 0``
       while ``(-A^T) y`` is entrywise 0 or bot;
     * otherwise the residual is all finite and goes to
@@ -277,27 +296,16 @@ def solve_extended(a: ExtMatrix, b: ExtVector) -> FarkasOutcome:
         names = ", ".join(sorted(bad))
         raise PreconditionError(f"extended system hypotheses violated: {names}", bad)
 
-    keep_rows = [
-        i
-        for i in range(a.nrows)
-        if not b[i].is_top and not any(e.is_bot for e in a[i])
-    ]
-    keep_cols = [
-        j for j in range(a.ncols) if not any(a[i][j].is_top for i in keep_rows)
-    ]
-
-    if any(b[i].is_bot for i in keep_rows):
+    masks = infinity_masks(a, b)
+    if masks is None:
         return FarkasOutcome.dual((_F0,) * a.nrows)
-
-    sub = [
-        tuple(a[i][j].finite_value for j in keep_cols)
-        for i in keep_rows
-    ]
-    rhs = [b[i].finite_value for i in keep_rows]
-    out = solve_inequality(sub, rhs, ncols=len(keep_cols))
+    live, free = masks
+    sub = [tuple(a[i][j].finite_value for j in free) for i in live]
+    rhs = [b[i].finite_value for i in live]
+    out = solve_inequality(sub, rhs, ncols=len(free))
     if out.is_primal:
-        return FarkasOutcome.primal(scatter(out.x, keep_cols, a.ncols))
-    return FarkasOutcome.dual(scatter(out.y, keep_rows, a.nrows))
+        return FarkasOutcome.primal(scatter(out.x, free, a.ncols))
+    return FarkasOutcome.dual(scatter(out.y, live, a.nrows))
 
 
 def verify_primal_eq(a: Sequence[Sequence], b: Sequence, x: Sequence) -> bool:

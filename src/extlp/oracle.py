@@ -252,8 +252,8 @@ class GenConfig:
     max_attempts: int = 10000
 
     def __post_init__(self):
-        if not 1 <= self.rows <= 4 or not 1 <= self.cols <= 4:
-            raise ScaleLimitError(f"generator supports 1..4 rows and columns, got {self.rows}x{self.cols}")
+        if self.rows < 1 or self.cols < 1:
+            raise ScaleLimitError(f"generator needs at least one row and one column, got {self.rows}x{self.cols}")
         if self.magnitude < 0:
             raise ScaleLimitError(f"negative magnitude {self.magnitude}")
         if not 0 <= self.infinity_prob <= 1:

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import extlp.cli
+import extlp.elp
 from extlp.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -235,3 +237,23 @@ def test_solve_oracle_flag_on_invalid_program(capsys):
     code, out, _ = run_cli(["solve", "p2.lp", "--oracle"], capsys)
     assert code == EXIT_OK
     assert "oracle agree" in out.splitlines()
+
+
+def test_solve_validates_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = extlp.elp.validate
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(extlp.cli, "validate", counting)
+    monkeypatch.setattr(extlp.elp, "validate", counting)
+    # valid, and the bot cost lets the infinity placements decide the optimum
+    decided = tmp_path / "decided.lp"
+    decided.write_text("rows 2\ncols 2\nA\n-1 0\n0 1\nb\n-1 0\nc\ntop bot\n")
+    for path in (str(fixture_path("lunch.lp")), str(decided)):
+        calls.clear()
+        code, out, _ = run_cli(["solve", path], capsys)
+        assert code == EXIT_OK and "valid true" in out.splitlines()
+        assert len(calls) == 1, path

@@ -69,6 +69,14 @@ def test_invalid_program_error_carries_the_report():
     assert list(err.value.report.failed()) == ["mixed_col"]
 
 
+def test_duality_predicates_require_validity():
+    p1 = load_program("p1.lp")
+    for predicate in (is_unbounded, strong_duality_check):
+        with pytest.raises(InvalidProgramError) as err:
+            predicate(p1)
+        assert list(err.value.report.failed()) == ["mixed_col"], predicate.__name__
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionError):
         ExtendedLP([[1]], [1, 2], [1])

@@ -137,8 +137,11 @@ def test_certified_optimum_matches_oracle_on_invalid_programs():
         if validate(p).is_valid:
             continue
         checked += 1
-        assert optimum(p) == oracle_solve_extended(p), p
-        assert optimum(dualize(p)) == oracle_solve_extended(dualize(p)), p
+        expected = (oracle_solve_extended(p), oracle_solve_extended(dualize(p)))
+        assert optimum(p) == expected[0], p
+        assert optimum(dualize(p)) == expected[1], p
+        assert optimum_pair(p) == expected, p
+        assert is_feasible(p) == (not expected[0].value.is_top), p
 
 
 def test_extended_oracle_agrees_with_pipeline_on_lunch(lunch):
@@ -196,7 +199,15 @@ def test_generator_rejects_out_of_range_dims():
     with pytest.raises(ScaleLimitError):
         GenConfig(rows=0, cols=2)
     with pytest.raises(ScaleLimitError):
-        GenConfig(rows=2, cols=5)
+        GenConfig(rows=2, cols=0)
+
+
+@pytest.mark.parametrize("rows,cols", [(5, 5), (6, 6), (8, 4), (4, 8)])
+def test_optimum_pair_matches_oracle_beyond_four_by_four(rows, cols):
+    for seed in range(40):
+        p = gen_valid_elp(GenConfig(rows=rows, cols=cols, seed=seed))
+        expected = (oracle_solve_extended(p), oracle_solve_extended(dualize(p)))
+        assert optimum_pair(p) == expected, seed
 
 
 def test_generator_budget_error_carries_the_seed():
