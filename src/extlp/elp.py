@@ -293,14 +293,20 @@ def _neg_t(a: list, m: int, n: int) -> list:
 
 def _finite_pair(a: list, b: list, c: list) -> tuple[Optimum, Optimum]:
     """Optima of a finite program and its dual: feasibility of each side,
-    then, if both are feasible, one certificate of the combined system
-    ``[A | 0] <= b``, ``[0 | -A^T] <= c``, ``[c | b] <= 0``."""
+    then, if both are feasible, :func:`_block`."""
+    neg_t = _neg_t(a, len(b), len(c))
+    fp = solve_inequality(a, b, ncols=len(c)).is_primal
+    fd = solve_inequality(neg_t, c, ncols=len(b)).is_primal
+    if fp and fd:
+        return _block(a, b, c, neg_t)
+    return Optimum.of(BOT if fp else TOP), Optimum.of(BOT if fd else TOP)
+
+
+def _block(a: list, b: list, c: list, neg_t: list) -> tuple[Optimum, Optimum]:
+    """Optima of a two-sided-feasible finite program and its dual, from one
+    certificate of the combined system ``[A | 0] <= b``,
+    ``[0 | -A^T] <= c``, ``[c | b] <= 0``."""
     m, n = len(b), len(c)
-    neg_t = _neg_t(a, m, n)
-    fp = solve_inequality(a, b, ncols=n).is_primal
-    fd = solve_inequality(neg_t, c, ncols=m).is_primal
-    if not (fp and fd):
-        return Optimum.of(BOT if fp else TOP), Optimum.of(BOT if fd else TOP)
     block = [row + (0,) * m for row in a] + [(0,) * n + row for row in neg_t] + [tuple(c + b)]
     out = solve_inequality(block, b + c + [0], ncols=n + m)
     if not out.is_primal:  # it would contradict weak duality
@@ -312,7 +318,17 @@ def _finite_pair(a: list, b: list, c: list) -> tuple[Optimum, Optimum]:
 
 
 def _decide(residual: Optimum | tuple[list, list, list]) -> Optimum:
-    return residual if isinstance(residual, Optimum) else _finite_pair(*residual)[0]
+    """The optimum of one side: top as soon as the primal is infeasible,
+    bot when the dual is, else the primal half of :func:`_block`."""
+    if isinstance(residual, Optimum):
+        return residual
+    a, b, c = residual
+    if not solve_inequality(a, b, ncols=len(c)).is_primal:
+        return Optimum.of(TOP)
+    neg_t = _neg_t(a, len(b), len(c))
+    if not solve_inequality(neg_t, c, ncols=len(b)).is_primal:
+        return Optimum.of(BOT)
+    return _block(a, b, c, neg_t)[0]
 
 
 def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:

@@ -5,21 +5,27 @@ dual certificate, never both, never neither.  Witnesses are exact rational
 vectors and can be re-checked with the ``verify_*`` functions; the test
 suites do exactly that on every output.
 
-The ground solver :func:`farkas_bartl` decides, for rational functionals
-``rows[0..n-1]`` and ``target`` on Q^d, between
+The alternative, for rational functionals ``rows[0..n-1]`` and ``target``
+on Q^d, is between
 
 * primal: ``x >= 0`` with ``sum_i x[i] * rows[i] == target``, and
-* dual: ``y`` with ``rows[i] . y >= 0`` for all i and ``target . y < 0``,
+* dual: ``y`` with ``rows[i] . y >= 0`` for all i and ``target . y < 0``.
 
-by induction on the number of functionals.  The inequality and extended
-solvers are reductions to it that carry their certificates back along the
-reduction.
+:func:`solve_equality` and :func:`solve_inequality` decide it with one
+exact phase-1 simplex: fraction-free integer pivoting (Bareiss 1968) under
+Bland's anti-cycling rule (Bland 1977), which reads ``x`` off the final
+basis and ``y`` off the phase-1 duals.  The extended solver is a reduction
+to them that carries its certificate back along the reduction.
+:func:`farkas_bartl` is the paper's constructive Farkas-Bartl proof, an
+induction on the number of functionals that is exponential in the worst
+case; it is kept as the reference the simplex is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionError, PreconditionError, TheoremViolationError
@@ -157,6 +163,87 @@ def _bartl(rows: Sequence[tuple[Fraction, ...]], b: tuple[Fraction, ...]) -> Far
     return out
 
 
+def _simplex(rows: Sequence[tuple[Fraction, ...]], b: tuple[Fraction, ...]) -> FarkasOutcome:
+    """:func:`_bartl`'s alternative, decided by one phase-1 simplex.
+
+    The functionals are the columns of ``A x == b``.  Rows with a negative
+    right-hand side are negated, column ``j`` is scaled to integers by the
+    lcm ``scale[j]`` of its denominators and ``b`` by the lcm ``lb`` of its
+    own, so unit columns stay unit.  Each row starts with its first unit
+    column in the basis, or with an artificial variable, and phase 1
+    minimizes the sum of the artificials.  The tableau ``tab`` holds
+    integers over one positive common denominator ``den`` (the basis
+    determinant, so every Bareiss division is exact); its last row holds
+    the reduced costs, and their right-hand side is ``-den`` times the
+    objective.  Bland's rule picks the entering and the leaving variable.
+
+    Objective zero leaves ``x`` on the basic rows.  Otherwise the phase-1
+    duals ``pi`` satisfy ``A^T pi <= 0 < b . pi`` on the signed system; they
+    are read from the reduced cost ``z`` of each row's start column,
+    ``-z/den`` for a unit column and ``1 - z/den`` for an artificial, and
+    ``y`` is ``-pi`` with the row signs undone.
+    """
+    d, n = len(b), len(rows)
+    sign = [-1 if t < 0 else 1 for t in b]
+    scale = [lcm(*(v.denominator for v in col)) for col in rows]
+    lb = lcm(*(t.denominator for t in b))
+    tab = [
+        [sg * col[i].numerator * (s // col[i].denominator) for col, s in zip(rows, scale)]
+        for i, sg in enumerate(sign)
+    ]
+    start: list[int | None] = [None] * d
+    for j, col in enumerate(zip(*tab)):
+        if sum(map(abs, col)) == 1 and 1 in col and start[col.index(1)] is None:
+            start[col.index(1)] = j
+    artificial = [i for i in range(d) if start[i] is None]
+    for k, i in enumerate(artificial):
+        start[i] = n + k
+    for i, row in enumerate(tab):
+        row += [int(start[i] == n + k) for k in range(len(artificial))]
+        row.append(abs(b[i].numerator) * (lb // b[i].denominator))
+    cost = [0] * n + [1] * len(artificial) + [0]
+    for i in artificial:
+        cost = [z - v for z, v in zip(cost, tab[i])]
+    tab.append(cost)
+
+    basis = list(start)
+    den = 1
+    while tab[d][-1]:
+        k = next((j for j in range(n) if tab[d][j] < 0), None)
+        if k is None:
+            break
+        r = None
+        for i in range(d):
+            p = tab[i][k]
+            if p > 0 and (
+                r is None
+                or (tab[i][-1] * tab[r][k], basis[i]) < (tab[r][-1] * p, basis[r])
+            ):
+                r = i
+        p, prow = tab[r][k], tab[r]
+        for i, row in enumerate(tab):
+            if i != r:
+                f = row[k]
+                if f:
+                    tab[i] = [(v * p - f * w) // den for v, w in zip(row, prow)]
+                elif p != den:
+                    tab[i] = [v * p // den for v in row]
+        den = p
+        basis[r] = k
+
+    if not tab[d][-1]:
+        x = [_F0] * n
+        for i, j in enumerate(basis):
+            if j < n:
+                x[j] = Fraction(tab[i][-1] * scale[j], den * lb)
+        return FarkasOutcome.primal(x)
+    cost = tab[d]
+    return FarkasOutcome.dual(
+        Fraction(sg * cost[j] if j < n else sg * (cost[j] - den), den)
+        for sg, j in zip(sign, start)
+    )
+
+
 def _rational_system(a: Sequence[Sequence], b: Sequence, ncols: int | None) -> tuple[list, tuple, int]:
     """``(A, b)`` as Fractions with their shape checked, and the width of ``A``.
 
@@ -184,11 +271,11 @@ def solve_equality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None)
 
     Primal: ``x >= 0`` with ``A x == b``.  Dual: ``y`` (any sign) with
     ``A^T y >= 0`` and ``b . y < 0``.  The columns of ``A`` are handed to
-    :func:`farkas_bartl` as functionals on the row space.  ``ncols`` is
-    only needed when ``A`` has no rows (the width is ambiguous there).
+    :func:`_simplex` as functionals on the row space.  ``ncols`` is only
+    needed when ``A`` has no rows (the width is ambiguous there).
     """
     mat, rhs, ncols = _rational_system(a, b, ncols)
-    return _bartl(rat_transpose(mat, ncols=ncols), rhs)
+    return _simplex(rat_transpose(mat, ncols=ncols), rhs)
 
 
 def solve_inequality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> FarkasOutcome:
@@ -202,7 +289,7 @@ def solve_inequality(a: Sequence[Sequence], b: Sequence, ncols: int | None = Non
     """
     mat, rhs, ncols = _rational_system(a, b, ncols)
     n = len(mat)
-    out = _bartl(rat_identity(n) + rat_transpose(mat, ncols=ncols), rhs)
+    out = _simplex(rat_identity(n) + rat_transpose(mat, ncols=ncols), rhs)
     if out.is_primal:
         return FarkasOutcome.primal(out.x[n:])
     return out

@@ -1,5 +1,6 @@
 """Extended programs: validity, duality, feasibility, exact optima."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from extlp import (
     validate,
     weak_duality_check,
 )
+from extlp import elp as elp_module
 from extlp.oracle import oracle_feasible_point
 from conftest import load_program
 
@@ -234,6 +236,47 @@ def test_optimum_pair_on_generated_programs():
         assert not p_opt.is_absent and not d_opt.is_absent
         assert opposites_opt(p_opt, d_opt)
     assert checked >= 20
+
+
+def test_side_decided_alone_stops_after_an_infeasible_primal(monkeypatch):
+    # invalid: the primal keeps row 1 without column 0 (3 x <= -2, no
+    # solution), the dual keeps row 1 of -A^T (2 y0 - 3 y1 <= -3, feasible),
+    # so the dual residual is not the negated transpose and each side is
+    # decided alone: one solve for the primal, feasibility of both sides of
+    # the dual's finite program for the dual
+    p = ExtendedLP([["bot", -2], [1, 3]], [2, -2], ["top", -3])
+    calls = []
+    real = elp_module.solve_inequality
+
+    def counted(a, b, ncols=None):
+        calls.append(len(b))
+        return real(a, b, ncols)
+
+    monkeypatch.setattr(elp_module, "solve_inequality", counted)
+    p_opt, d_opt = optimum_pair(p)
+    assert p_opt.value == TOP and d_opt.value == BOT
+    assert len(calls) == 3
+
+
+def planted_program(rng: random.Random, m: int, n: int) -> tuple[ExtendedLP, Fraction]:
+    """A finite program with optimum ``c . x*``, planted by complementary
+    slackness: ``y*`` is positive only on the rows ``x*`` makes tight and
+    ``-A^T y*`` meets ``c`` only on the columns where ``x*`` is positive."""
+    a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
+    x = [Fraction(rng.randint(0, 4)) if j % 2 == 0 else Fraction(0) for j in range(n)]
+    y = [Fraction(rng.randint(1, 4)) if i % 2 == 0 else Fraction(0) for i in range(m)]
+    ax = [sum(r[j] * x[j] for j in range(n)) for r in a]
+    b = [v if y[i] else v + rng.randint(1, 5) for i, v in enumerate(ax)]
+    neg_aty = [-sum(a[i][j] * y[i] for i in range(m)) for j in range(n)]
+    c = [v if x[j] else v + rng.randint(1, 5) for j, v in enumerate(neg_aty)]
+    return ExtendedLP(a, b, c), sum(cj * xj for cj, xj in zip(c, x))
+
+
+def test_optimum_pair_on_a_planted_8x8_program():
+    p, value = planted_program(random.Random(8), 8, 8)
+    p_opt, d_opt = optimum_pair(p)
+    assert p_opt.value == finite(value) and d_opt.value == finite(-value)
+    assert opposites_opt(p_opt, d_opt)
 
 
 # --- duality checks and bounds ---

@@ -25,6 +25,8 @@ from extlp import (
     verify_primal_ext,
     verify_primal_ineq,
 )
+from extlp.extlinalg import rat_identity, rat_transpose, rat_vector
+from extlp.farkas import _bartl
 from extlp.oracle import oracle_feasible_point
 
 
@@ -270,3 +272,97 @@ def test_extended_random_systems_verify():
             assert verify_primal_ext(a, b, out.x)
         else:
             assert verify_dual_ext(a, b, out.y)
+
+
+# --- the simplex against the recursive reference ---
+
+
+def fractional_system(rng: random.Random, max_dim: int = 7):
+    m = rng.randint(0, max_dim)
+    n = rng.randint(0, max_dim)
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    return [[entry() for _ in range(n)] for _ in range(m)], [entry() for _ in range(m)], n
+
+
+def assert_matches_reference(a, b, n):
+    """Both solvers take the branch ``_bartl`` takes on the same functionals,
+    and every witness verifies."""
+    cols = rat_transpose([rat_vector(r) for r in a], ncols=n)
+    rhs = rat_vector(b)
+    eq = solve_equality(a, b, ncols=n)
+    assert eq.is_primal == _bartl(cols, rhs).is_primal
+    assert verify_primal_eq(a, b, eq.x) if eq.is_primal else verify_dual_eq(a, b, eq.y)
+    ineq = solve_inequality(a, b, ncols=n)
+    assert ineq.is_primal == _bartl(rat_identity(len(a)) + cols, rhs).is_primal
+    assert verify_primal_ineq(a, b, ineq.x) if ineq.is_primal else verify_dual_ineq(a, b, ineq.y)
+    return eq.is_primal, ineq.is_primal
+
+
+def test_simplex_matches_the_bartl_reference_on_random_fractional_systems():
+    rng = random.Random(2007)
+    branches = set()
+    for _ in range(150):
+        branches.add(assert_matches_reference(*fractional_system(rng)))
+    assert branches == {(True, True), (False, True), (False, False)}
+
+
+def test_simplex_matches_the_reference_on_degenerate_systems():
+    rng = random.Random(1968)
+    for _ in range(40):
+        a, b, n = fractional_system(rng, max_dim=5)
+        assert_matches_reference(a, [0] * len(a), n)
+        assert_matches_reference(a + a, b + b, n)
+        assert_matches_reference(a + [[2 * v for v in r] for r in a], b + [2 * v for v in b], n)
+
+
+# Beale's example, on which the textbook most-negative-cost rule cycles:
+# minimize -3/4 x0 + 150 x1 - 1/50 x2 + 6 x3 subject to these rows, optimum
+# -1/20 at x = (1/25, 0, 1, 0); the objective is appended as a cut
+BEALE_A = [
+    [Fraction(1, 4), -60, Fraction(-1, 25), 9],
+    [Fraction(1, 2), -90, Fraction(-1, 50), 3],
+    [0, 0, 1, 0],
+]
+BEALE_B = [0, 0, 1]
+BEALE_COST = [Fraction(-3, 4), 150, Fraction(-1, 50), 6]
+
+
+@pytest.mark.parametrize("cut", [None, Fraction(-1, 100), Fraction(-1, 20), Fraction(-1, 19)])
+def test_beale_cycling_example_terminates_and_verifies(cut):
+    a, b = BEALE_A, BEALE_B
+    if cut is not None:
+        a, b = a + [BEALE_COST], b + [cut]
+    eq, ineq = assert_matches_reference(a, b, 4)
+    assert ineq == (cut is None or cut >= Fraction(-1, 20))
+    slack = [[int(i == k) for i in range(len(a))] for k in range(len(a))]
+    assert_matches_reference([r + s for r, s in zip(a, slack)], b, 4 + len(a))
+
+
+# --- sizes the recursion cannot reach ---
+
+
+def test_tall_all_ones_system():
+    # 2^17 + 1 recursive calls for the reference; x = 0 is feasible
+    a, b = [[1, 1]] * 16, [1] * 16
+    out = solve_inequality(a, b)
+    assert out.is_primal and out.x == (0, 0)
+    assert verify_primal_ineq(a, b, out.x)
+
+
+@pytest.mark.parametrize("feasible", [False, True])
+def test_random_40x40_system(feasible):
+    rng = random.Random(40)
+    a = [[rng.randint(-5, 5) for _ in range(40)] for _ in range(40)]
+    if feasible:
+        # planted: b = A x0 + slack with x0 >= 0, many rows still negative
+        x0 = [rng.randint(0, 2) for _ in range(40)]
+        b = [sum(v * x for v, x in zip(row, x0)) + rng.randint(0, 2) for row in a]
+        assert sum(v < 0 for v in b) >= 10
+    else:
+        b = [rng.randint(-5, 5) for _ in range(40)]
+    out = solve_inequality(a, b)
+    assert out.is_primal == feasible
+    assert verify_primal_ineq(a, b, out.x) if feasible else verify_dual_ineq(a, b, out.y)
