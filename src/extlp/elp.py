@@ -9,12 +9,13 @@ Validity is six index-level conditions that rule out the degenerate
 infinity placements under which duality breaks (the counterexample fixtures
 in the tests show each one failing individually).  Every optimum, of a
 valid program or not, comes from one reduction: the infinity placements
-decide it or leave a finite program for :mod:`extlp.farkas`.  When the
-dual's finite program is the negated transpose of the primal's, as it is
-for every valid program, one combined certificate pins both optima of a
-two-sided-feasible pair; otherwise each side is decided on its own.  Only
-``is_unbounded`` and ``strong_duality_check`` rest on duality and so
-require validity.
+decide it or leave a finite program, which one two-phase simplex in
+:mod:`extlp.farkas` solves.  When the dual's finite program is the negated
+transpose of the primal's, as it is for every valid program, that solve's
+optimal pair ``(x, y)``, or an unbounded objective, decides both optima;
+only an infeasible primal needs a feasibility test of the dual.  Otherwise
+each side is decided on its own.  Only ``is_unbounded`` and
+``strong_duality_check`` rest on duality and so require validity.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ from .farkas import (
     TOP_ROW_TOP_RHS,
     infinity_masks,
     solve_inequality,
+    solve_program,
     system_preconditions,
+    verify_primal_ineq,
 )
 
 __all__ = [
@@ -287,48 +290,32 @@ def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector) -> Optimum | tuple[list,
     return sub, rhs, [c[j].finite_value for j in keep]
 
 
-def _neg_t(a: list, m: int, n: int) -> list:
-    return [tuple(-a[i][j] for i in range(m)) for j in range(n)]
+def _mirror(a: list, b: list, c: list) -> tuple[list, list, list]:
+    """The dual ``(-A^T, c, b)`` of a finite residual."""
+    return [tuple(-row[j] for row in a) for j in range(len(c))], c, b
 
 
-def _finite_pair(a: list, b: list, c: list) -> tuple[Optimum, Optimum]:
-    """Optima of a finite program and its dual: feasibility of each side,
-    then, if both are feasible, :func:`_block`."""
-    neg_t = _neg_t(a, len(b), len(c))
-    fp = solve_inequality(a, b, ncols=len(c)).is_primal
-    fd = solve_inequality(neg_t, c, ncols=len(b)).is_primal
-    if fp and fd:
-        return _block(a, b, c, neg_t)
-    return Optimum.of(BOT if fp else TOP), Optimum.of(BOT if fd else TOP)
-
-
-def _block(a: list, b: list, c: list, neg_t: list) -> tuple[Optimum, Optimum]:
-    """Optima of a two-sided-feasible finite program and its dual, from one
-    certificate of the combined system ``[A | 0] <= b``,
-    ``[0 | -A^T] <= c``, ``[c | b] <= 0``."""
-    m, n = len(b), len(c)
-    block = [row + (0,) * m for row in a] + [(0,) * n + row for row in neg_t] + [tuple(c + b)]
-    out = solve_inequality(block, b + c + [0], ncols=n + m)
-    if not out.is_primal:  # it would contradict weak duality
-        raise TheoremViolationError("combined system returned a certificate for a two-sided-feasible program")
-    val_p, val_d = rat_dot(c, out.x[:n]), rat_dot(b, out.x[n:])
-    if val_p + val_d != 0:
-        raise TheoremViolationError(f"combined certificate has value sum {val_p + val_d}, expected 0")
-    return Optimum.of(val_p), Optimum.of(val_d)
-
-
-def _decide(residual: Optimum | tuple[list, list, list]) -> Optimum:
-    """The optimum of one side: top as soon as the primal is infeasible,
-    bot when the dual is, else the primal half of :func:`_block`."""
+def _decide(residual: Optimum | tuple[list, list, list]) -> tuple[Optimum, Optimum | None]:
+    """The optimum of one side and, when the same solve settles it, of the
+    residual's :func:`_mirror`: one two-phase solve gives ``(v, -v)``,
+    checked on its witnesses, or ``(bot, top)``; an infeasible primal, or
+    one the placements decide, leaves the dual open (None).
+    """
     if isinstance(residual, Optimum):
-        return residual
+        return residual, None
     a, b, c = residual
-    if not solve_inequality(a, b, ncols=len(c)).is_primal:
-        return Optimum.of(TOP)
-    neg_t = _neg_t(a, len(b), len(c))
-    if not solve_inequality(neg_t, c, ncols=len(b)).is_primal:
-        return Optimum.of(BOT)
-    return _block(a, b, c, neg_t)[0]
+    out = solve_program(a, b, c)
+    if out is TOP:
+        return Optimum.of(TOP), None
+    if out is BOT:
+        return Optimum.of(BOT), Optimum.of(TOP)
+    x, y = out
+    if not (verify_primal_ineq(a, b, x) and verify_primal_ineq(*_mirror(a, b, c)[:2], y)):
+        raise TheoremViolationError("two-phase solve returned an infeasible optimum pair")
+    val_p, val_d = rat_dot(c, x), rat_dot(b, y)
+    if val_p + val_d != 0:
+        raise TheoremViolationError(f"optimum pair has value sum {val_p + val_d}, expected 0")
+    return Optimum.of(val_p), Optimum.of(val_d)
 
 
 def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
@@ -336,16 +323,19 @@ def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
 
     When both finite residuals exist and the dual's is the negated
     transpose of the primal's, which holds for every valid program, one
-    :func:`_finite_pair` decides both sides; otherwise each side is decided
-    on its own.
+    :func:`_decide` settles both sides unless the primal is infeasible;
+    then one feasibility test of the dual picks bot or top.  Otherwise each
+    side is decided on its own.
     """
     primal = _residual(p.A, p.b, p.c)
     dual = _residual(neg_transpose(p.A), p.c, p.b)
-    if not isinstance(primal, Optimum):
-        a, b, c = primal
-        if dual == (_neg_t(a, len(b), len(c)), c, b):
-            return _finite_pair(a, b, c)
-    return _decide(primal), _decide(dual)
+    p_opt, d_opt = _decide(primal)
+    if isinstance(primal, Optimum) or dual != _mirror(*primal):
+        return p_opt, _decide(dual)[0]
+    if d_opt is None:
+        a, b, c = dual
+        d_opt = Optimum.of(BOT if solve_inequality(a, b, ncols=len(c)).is_primal else TOP)
+    return p_opt, d_opt
 
 
 def optimum(p: ExtendedLP) -> Optimum:
@@ -354,7 +344,7 @@ def optimum(p: ExtendedLP) -> Optimum:
     top when infeasible, bot when feasible with no finite lower bound,
     otherwise an attained finite value.  Never absent.
     """
-    return _decide(_residual(p.A, p.b, p.c))
+    return _decide(_residual(p.A, p.b, p.c))[0]
 
 
 def is_bounded_by(p: ExtendedLP, r) -> bool:

@@ -11,14 +11,15 @@ on Q^d, is between
 * primal: ``x >= 0`` with ``sum_i x[i] * rows[i] == target``, and
 * dual: ``y`` with ``rows[i] . y >= 0`` for all i and ``target . y < 0``.
 
-:func:`solve_equality` and :func:`solve_inequality` decide it with one
-exact phase-1 simplex: fraction-free integer pivoting (Bareiss 1968) under
-Bland's anti-cycling rule (Bland 1977), which reads ``x`` off the final
-basis and ``y`` off the phase-1 duals.  The extended solver is a reduction
-to them that carries its certificate back along the reduction.
-:func:`farkas_bartl` is the paper's constructive Farkas-Bartl proof, an
-induction on the number of functionals that is exponential in the worst
-case; it is kept as the reference the simplex is checked against.
+One exact simplex, :func:`_simplex`, decides every finite system and
+program: fraction-free integer pivoting (Bareiss 1968) under Bland's
+anti-cycling rule (Bland 1977).  Phase 1 alone serves :func:`solve_equality`
+and :func:`solve_inequality`, reading ``x`` off the final basis and ``y``
+off the phase-1 duals; given a cost row, phase 2 follows and
+:func:`solve_program` gets an optimal pair.  The extended solver reduces to
+:func:`solve_inequality`.  :func:`farkas_bartl`, the paper's constructive
+Farkas-Bartl proof, is exponential in the worst case and is kept as the
+reference the simplex is checked against.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .extlinalg import (
     mul_weig,
     neg_transpose,
     rat_dot,
-    rat_identity,
     rat_mat_vec,
     rat_transpose,
     rat_vector,
@@ -163,34 +163,69 @@ def _bartl(rows: Sequence[tuple[Fraction, ...]], b: tuple[Fraction, ...]) -> Far
     return out
 
 
-def _simplex(rows: Sequence[tuple[Fraction, ...]], b: tuple[Fraction, ...]) -> FarkasOutcome:
-    """:func:`_bartl`'s alternative, decided by one phase-1 simplex.
-
-    The functionals are the columns of ``A x == b``.  Rows with a negative
-    right-hand side are negated, column ``j`` is scaled to integers by the
-    lcm ``scale[j]`` of its denominators and ``b`` by the lcm ``lb`` of its
-    own, so unit columns stay unit.  Each row starts with its first unit
-    column in the basis, or with an artificial variable, and phase 1
-    minimizes the sum of the artificials.  The tableau ``tab`` holds
-    integers over one positive common denominator ``den`` (the basis
-    determinant, so every Bareiss division is exact); its last row holds
-    the reduced costs, and their right-hand side is ``-den`` times the
-    objective.  Bland's rule picks the entering and the leaving variable.
-
-    Objective zero leaves ``x`` on the basic rows.  Otherwise the phase-1
-    duals ``pi`` satisfy ``A^T pi <= 0 < b . pi`` on the signed system; they
-    are read from the reduced cost ``z`` of each row's start column,
-    ``-z/den`` for a unit column and ``1 - z/den`` for an artificial, and
-    ``y`` is ``-pi`` with the row signs undone.
+def _bland(tab: list[list[int]], basis: list[int], den: int, d: int, n: int, phase1: bool) -> int | None:
+    """Pivot by Bland's rule on the objective in row ``d``, over the first
+    ``n`` columns, until no reduced cost is negative (in phase 1, or the
+    objective is zero); the Bareiss updates divide exactly by ``den``.
+    Returns the last ``den``, or None when the objective is unbounded.
     """
-    d, n = len(b), len(rows)
+    while not phase1 or tab[d][-1]:
+        k = next((j for j in range(n) if tab[d][j] < 0), None)
+        if k is None:
+            break
+        r = None
+        for i in range(d):
+            p = tab[i][k]
+            if p > 0 and (r is None or (tab[i][-1] * tab[r][k], basis[i]) < (tab[r][-1] * p, basis[r])):
+                r = i
+        if r is None:
+            return None
+        p, prow = tab[r][k], tab[r]
+        for i, row in enumerate(tab):
+            if i != r:
+                f = row[k]
+                if f:
+                    tab[i] = [(v * p - f * w) // den for v, w in zip(row, prow)]
+                elif p != den:
+                    tab[i] = [v * p // den for v in row]
+        den, basis[r] = p, k
+    return den
+
+
+def _simplex(
+    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], ncols: int, slack: bool, cost: Sequence[Fraction] | None = None
+) -> FarkasOutcome | tuple | ExtValue:
+    """Decide ``A x == b`` over ``x >= 0`` (``A x <= b`` with ``slack``) by
+    one exact simplex; with ``cost`` (and ``slack``) minimize ``cost . x``.
+
+    Rows with a negative right-hand side are negated, column ``j`` of ``A``
+    is scaled to integers by the lcm ``scale[j]`` of its denominators and
+    ``b`` by the lcm ``lb`` of its own.  The slack block comes first without
+    ``cost``, else last, where Bland's rule tries ``A`` first.  Each row
+    starts with its first unit column in the basis, or an artificial, and
+    phase 1 minimizes their sum.  ``tab`` holds integers over one positive
+    common denominator ``den``: the rows, the phase-1 reduced costs, whose
+    right-hand side is ``-den`` times the objective, and the cost.
+
+    Without ``cost``: ``x`` from the basic rows at objective zero, else
+    ``y = -pi`` with the row signs undone, where the phase-1 duals ``pi``
+    are ``-z/den`` for a unit start column with reduced cost ``z`` and
+    ``1 - z/den`` for an artificial.  With ``cost``: top at a positive
+    objective; a basic artificial, at level zero, leaves for its row's
+    slack, whose column is its negative, by negating the row; then phase 2
+    gives bot or ``(x, y)``, ``y`` the slacks' reduced costs.
+    """
+    d = len(b)
     sign = [-1 if t < 0 else 1 for t in b]
-    scale = [lcm(*(v.denominator for v in col)) for col in rows]
+    scale = [lcm(*(row[j].denominator for row in a)) for j in range(ncols)]
     lb = lcm(*(t.denominator for t in b))
-    tab = [
-        [sg * col[i].numerator * (s // col[i].denominator) for col, s in zip(rows, scale)]
-        for i, sg in enumerate(sign)
-    ]
+    n = ncols + d * slack
+    x0 = n - ncols if cost is None else 0  # the first column of A
+    tab = []
+    for i, (row, sg) in enumerate(zip(a, sign)):
+        ints = [sg * v.numerator * (s // v.denominator) for v, s in zip(row, scale)]
+        units = [sg * (i == k) for k in range(n - ncols)]
+        tab.append(units + ints if cost is None else ints + units)
     start: list[int | None] = [None] * d
     for j, col in enumerate(zip(*tab)):
         if sum(map(abs, col)) == 1 and 1 in col and start[col.index(1)] is None:
@@ -201,47 +236,46 @@ def _simplex(rows: Sequence[tuple[Fraction, ...]], b: tuple[Fraction, ...]) -> F
     for i, row in enumerate(tab):
         row += [int(start[i] == n + k) for k in range(len(artificial))]
         row.append(abs(b[i].numerator) * (lb // b[i].denominator))
-    cost = [0] * n + [1] * len(artificial) + [0]
+    phase1 = [0] * n + [1] * len(artificial) + [0]
     for i in artificial:
-        cost = [z - v for z, v in zip(cost, tab[i])]
-    tab.append(cost)
+        phase1 = [z - v for z, v in zip(phase1, tab[i])]
+    tab.append(phase1)
+    if cost is not None:
+        cs = [cj * s for cj, s in zip(cost, scale)]
+        lc = lcm(*(v.denominator for v in cs))
+        row = [v.numerator * (lc // v.denominator) for v in cs] + [0] * (d + len(artificial) + 1)
+        for i, j in enumerate(start):
+            f = row[j]
+            if f:
+                row = [z - f * v for z, v in zip(row, tab[i])]
+        tab.append(row)
 
     basis = list(start)
-    den = 1
-    while tab[d][-1]:
-        k = next((j for j in range(n) if tab[d][j] < 0), None)
-        if k is None:
-            break
-        r = None
-        for i in range(d):
-            p = tab[i][k]
-            if p > 0 and (
-                r is None
-                or (tab[i][-1] * tab[r][k], basis[i]) < (tab[r][-1] * p, basis[r])
-            ):
-                r = i
-        p, prow = tab[r][k], tab[r]
-        for i, row in enumerate(tab):
-            if i != r:
-                f = row[k]
-                if f:
-                    tab[i] = [(v * p - f * w) // den for v, w in zip(row, prow)]
-                elif p != den:
-                    tab[i] = [v * p // den for v in row]
-        den = p
-        basis[r] = k
-
-    if not tab[d][-1]:
-        x = [_F0] * n
-        for i, j in enumerate(basis):
-            if j < n:
-                x[j] = Fraction(tab[i][-1] * scale[j], den * lb)
+    den = _bland(tab, basis, 1, d, n, True)
+    if tab[d][-1]:
+        if cost is not None:
+            return TOP
+        z = tab[d]
+        return FarkasOutcome.dual(
+            Fraction(sg * z[j] if j < n else sg * (z[j] - den), den)
+            for sg, j in zip(sign, start)
+        )
+    if cost is not None:
+        del tab[d]
+        for r, j in enumerate(basis):
+            if j >= n:
+                tab[r] = [-v for v in tab[r]]
+                basis[r] = ncols + artificial[j - n]
+        den = _bland(tab, basis, den, d, n, False)
+        if den is None:
+            return BOT
+    x = [_F0] * ncols
+    for i, j in enumerate(basis):
+        if x0 <= j < x0 + ncols:
+            x[j - x0] = Fraction(tab[i][-1] * scale[j - x0], den * lb)
+    if cost is None:
         return FarkasOutcome.primal(x)
-    cost = tab[d]
-    return FarkasOutcome.dual(
-        Fraction(sg * cost[j] if j < n else sg * (cost[j] - den), den)
-        for sg, j in zip(sign, start)
-    )
+    return tuple(x), tuple(Fraction(v, den * lc) for v in tab[d][ncols:n])
 
 
 def _rational_system(a: Sequence[Sequence], b: Sequence, ncols: int | None) -> tuple[list, tuple, int]:
@@ -270,29 +304,31 @@ def solve_equality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None)
     """Alternative for ``A x == b, x >= 0`` over exact rationals.
 
     Primal: ``x >= 0`` with ``A x == b``.  Dual: ``y`` (any sign) with
-    ``A^T y >= 0`` and ``b . y < 0``.  The columns of ``A`` are handed to
-    :func:`_simplex` as functionals on the row space.  ``ncols`` is only
-    needed when ``A`` has no rows (the width is ambiguous there).
+    ``A^T y >= 0`` and ``b . y < 0``, by :func:`_simplex` on the rows of
+    ``A``.  ``ncols`` is only needed when ``A`` has no rows (the width is
+    ambiguous there).
     """
     mat, rhs, ncols = _rational_system(a, b, ncols)
-    return _simplex(rat_transpose(mat, ncols=ncols), rhs)
+    return _simplex(mat, rhs, ncols, False)
 
 
 def solve_inequality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> FarkasOutcome:
     """Alternative for ``A x <= b, x >= 0`` over exact rationals.
 
-    Reduces to :func:`solve_equality` on ``(I | A)`` and drops the slack
-    block from a primal witness; the identity columns force the dual
-    certificate to be nonnegative, so it passes through unchanged.  Read as
-    ``(-A^T) y <= 0``, the certificate has the form the extended solver
-    embeds into.
+    :func:`_simplex` solves ``(I | A)`` and drops the slack block from a
+    primal witness; the identity columns force the dual certificate to be
+    nonnegative.  Read as ``(-A^T) y <= 0``, the certificate has the form
+    the extended solver embeds into.
     """
     mat, rhs, ncols = _rational_system(a, b, ncols)
-    n = len(mat)
-    out = _simplex(rat_identity(n) + rat_transpose(mat, ncols=ncols), rhs)
-    if out.is_primal:
-        return FarkasOutcome.primal(out.x[n:])
-    return out
+    return _simplex(mat, rhs, ncols, True)
+
+
+def solve_program(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequence[Fraction]) -> tuple | ExtValue:
+    """Minimize ``c . x`` over ``A x <= b, x >= 0``, rationals throughout:
+    top if infeasible, bot if unbounded, else ``x`` with ``y >= 0``, optimal
+    for the dual ``-A^T y <= c``, so ``c . x + b . y == 0``."""
+    return _simplex(a, b, len(c), True, c)
 
 
 MIXED_ROW = "mixed_row"

@@ -32,7 +32,7 @@ from extlp import (
     validate,
     weak_duality_check,
 )
-from extlp import elp as elp_module
+from extlp import farkas as farkas_module
 from extlp.oracle import oracle_feasible_point
 from conftest import load_program
 
@@ -238,24 +238,61 @@ def test_optimum_pair_on_generated_programs():
     assert checked >= 20
 
 
-def test_side_decided_alone_stops_after_an_infeasible_primal(monkeypatch):
-    # invalid: the primal keeps row 1 without column 0 (3 x <= -2, no
-    # solution), the dual keeps row 1 of -A^T (2 y0 - 3 y1 <= -3, feasible),
-    # so the dual residual is not the negated transpose and each side is
-    # decided alone: one solve for the primal, feasibility of both sides of
-    # the dual's finite program for the dual
-    p = ExtendedLP([["bot", -2], [1, 3]], [2, -2], ["top", -3])
+@pytest.fixture
+def solves(monkeypatch):
+    """The row count of every tableau solve, recorded at ``farkas._simplex``."""
     calls = []
-    real = elp_module.solve_inequality
+    real = farkas_module._simplex
 
-    def counted(a, b, ncols=None):
+    def counted(a, b, *rest):
         calls.append(len(b))
-        return real(a, b, ncols)
+        return real(a, b, *rest)
 
-    monkeypatch.setattr(elp_module, "solve_inequality", counted)
+    monkeypatch.setattr(farkas_module, "_simplex", counted)
+    return calls
+
+
+def test_side_decided_alone_stops_after_an_infeasible_primal(solves):
+    # invalid: the primal keeps row 1 without column 0 (3 x <= -2, no
+    # solution), the dual keeps row 1 of -A^T (2 y0 - 3 y1 <= -3, feasible,
+    # unbounded), so the dual residual is not the negated transpose and each
+    # side is decided alone: one two-phase solve each
+    p = ExtendedLP([["bot", -2], [1, 3]], [2, -2], ["top", -3])
     p_opt, d_opt = optimum_pair(p)
     assert p_opt.value == TOP and d_opt.value == BOT
-    assert len(calls) == 3
+    assert len(solves) == 2
+
+
+@pytest.mark.parametrize(
+    "a, b, c, expected",
+    [
+        # unbounded: x1 grows along x0 = 1; the dual is infeasible
+        ([[1, -1], [-1, 0]], [1, -1], [0, -1], (BOT, TOP)),
+        # the top right-hand side drops the only row: residuals 0x2 and 2x0
+        ([[1, 2]], ["top"], [1, -1], (BOT, TOP)),
+        ([[1, 2]], ["top"], [1, 1], (finite(0), finite(0))),
+        # infeasible primal (x0 + x1 <= 1 and >= 2), feasible dual
+        ([[1, 1], [-1, -1]], [1, -2], [0, 0], (TOP, BOT)),
+        # infeasible primal and dual
+        ([[1, -1], [-1, 1]], [-1, -1], [-1, -1], (TOP, TOP)),
+        # the top cost drops the only column: residuals 2x0 and 0x2
+        ([[1], [2]], [1, -1], ["top"], (TOP, BOT)),
+    ],
+)
+def test_one_solve_decides_both_sides_unless_the_primal_is_infeasible(a, b, c, expected, solves):
+    p_opt, d_opt = optimum_pair(ExtendedLP(a, b, c))
+    assert (p_opt.value, d_opt.value) == expected
+    assert len(solves) == (2 if expected[0] == TOP else 1)
+
+
+def test_artificials_basic_at_zero_leave_through_their_slack(solves):
+    # rows 0 and 1 coincide with a negative right-hand side, and phase 1
+    # ends with both their artificials basic at level zero; left in the
+    # basis they let phase 2 reach x = (2, 0), which breaks row 0
+    p = ExtendedLP([[0, -2], [0, -2], [0, -1], [-1, -2]], [-2, -2, 0, -2], [0, 1])
+    p_opt, d_opt = optimum_pair(p)
+    assert p_opt.value == finite(1) and d_opt.value == finite(-1)
+    assert len(solves) == 1
 
 
 def planted_program(rng: random.Random, m: int, n: int) -> tuple[ExtendedLP, Fraction]:
@@ -277,6 +314,14 @@ def test_optimum_pair_on_a_planted_8x8_program():
     p_opt, d_opt = optimum_pair(p)
     assert p_opt.value == finite(value) and d_opt.value == finite(-value)
     assert opposites_opt(p_opt, d_opt)
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_optimum_pair_on_larger_planted_programs(n, solves):
+    p, value = planted_program(random.Random(n), n, n)
+    p_opt, d_opt = optimum_pair(p)
+    assert p_opt.value == finite(value) and d_opt.value == finite(-value)
+    assert len(solves) == 1
 
 
 # --- duality checks and bounds ---

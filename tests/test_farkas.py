@@ -26,7 +26,7 @@ from extlp import (
     verify_primal_ineq,
 )
 from extlp.extlinalg import rat_identity, rat_transpose, rat_vector
-from extlp.farkas import _bartl
+from extlp.farkas import _bartl, solve_program
 from extlp.oracle import oracle_feasible_point
 
 
@@ -339,6 +339,45 @@ def test_beale_cycling_example_terminates_and_verifies(cut):
     assert ineq == (cut is None or cut >= Fraction(-1, 20))
     slack = [[int(i == k) for i in range(len(a))] for k in range(len(a))]
     assert_matches_reference([r + s for r, s in zip(a, slack)], b, 4 + len(a))
+
+
+# --- Bland's rule, pinned by its exact witnesses ---
+# Found by seeded searches over small integer systems: under the "most
+# negative reduced cost" entering rule, or with ratio-test ties going to
+# the first row instead of the least basic index, each of these ends at
+# another witness (in the comments), so a change of rule shows here and not
+# as a hang on some unseen input.
+
+
+@pytest.mark.parametrize(
+    "a, b, x, y",
+    [
+        # the other rule: x = (0, 0, 4/5, 0)
+        ([[-4, -4, -5, 2], [-5, -1, -2, -1]], [-4, 4], (1, 0, 0, 0), None),
+        # the other rule: y = (1, 2/3, 2/3, 0)
+        ([[-4, 2, 5], [3, -4, -3], [3, 1, 0], [2, -5, 2]], [-5, -1, 4, 4], None, (Fraction(3, 2), 1, 1, 0)),
+        # ties to the first row: y = (0, 1, 0, 1)
+        ([[2, -1], [1, 1], [2, -1], [0, -1]], [-1, 1, 0, -2], None, (1, 2, 0, 1)),
+    ],
+)
+def test_phase_one_witnesses_follow_blands_rule(a, b, x, y):
+    out = solve_inequality(a, b)
+    assert (out.x, out.y) == (x, y)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, x, y",
+    [
+        # the other rule in phase 2: x = (1, 0, 1)
+        ([[2, 1, 0], [-1, -1, -2], [0, 1, 1], [1, 0, 1]], [2, -2, 1, 2], [0, 2, -2], (0, 0, 1), (0, 0, 2, 0)),
+        # the other rule in phase 2: x = (0, 0, 1/3)
+        ([[-1, -2, -3], [-1, -2, -1], [2, 1, 3]], [-1, 1, 3], [1, 0, 0], (0, Fraction(1, 2), 0), (0, 0, 0)),
+        # ties to the first row: y = (2, 0, 0, 0)
+        ([[-1, 0], [0, -1], [2, -1], [1, 0]], [0, -2, -1, 1], [2, 0], (0, 2), (0, 0, 0, 0)),
+    ],
+)
+def test_phase_two_witnesses_follow_blands_rule(a, b, c, x, y):
+    assert solve_program(a, b, c) == (x, y)
 
 
 # --- sizes the recursion cannot reach ---

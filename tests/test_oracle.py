@@ -210,6 +210,21 @@ def test_optimum_pair_matches_oracle_beyond_four_by_four(rows, cols):
         assert optimum_pair(p) == expected, seed
 
 
+def test_optimum_pair_matches_oracle_on_degenerate_programs():
+    # right-hand sides <= 0, so most rows start with an artificial, and a
+    # repeated row in half the draws, so phase 1 often ends with an
+    # artificial basic at level zero
+    rng = random.Random(1983)
+    for k in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 3)
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-2, 0) for _ in range(m)]
+        if m > 1 and k % 2:
+            a[1], b[1] = list(a[0]), b[0]
+        p = ExtendedLP(a, b, [rng.randint(-2, 2) for _ in range(n)])
+        assert optimum_pair(p) == (oracle_solve_extended(p), oracle_solve_extended(dualize(p))), k
+
+
 def test_generator_budget_error_carries_the_seed():
     cfg = GenConfig(rows=4, cols=4, seed=17, infinity_prob=1.0, max_attempts=3)
     with pytest.raises(GenerationBudgetError) as err:
