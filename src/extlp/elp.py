@@ -10,17 +10,21 @@ infinity placements under which duality breaks (the counterexample fixtures
 in the tests show each one failing individually).  Every optimum, of a
 valid program or not, comes from one reduction: the infinity placements
 decide it or leave a finite program, which one two-phase simplex in
-:mod:`extlp.farkas` solves.  When the dual's finite program is the negated
-transpose of the primal's, as it is for every valid program, that solve's
-optimal pair ``(x, y)``, or an unbounded objective, decides both optima;
-only an infeasible primal needs a feasibility test of the dual.  Otherwise
-each side is decided on its own.  Only ``is_unbounded`` and
+:mod:`extlp.farkas` solves.  When the kept rows and columns of ``A``, read
+by index, show the dual's finite program to be the negated transpose of the
+primal's, as for every valid program, that solve's optimal pair ``(x, y)``,
+checked in integers on its support, or an unbounded objective decides both
+optima; only an infeasible primal needs a feasibility test of the dual.
+Otherwise each side is decided on its own.  Only ``is_unbounded`` and
 ``strong_duality_check`` rest on duality and so require validity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -37,7 +41,6 @@ from .extlinalg import (
     le_vec,
     mul_weig,
     neg_transpose,
-    rat_dot,
     rat_vector,
 )
 from .farkas import (
@@ -49,7 +52,6 @@ from .farkas import (
     solve_inequality,
     solve_program,
     system_preconditions,
-    verify_primal_ineq,
 )
 
 __all__ = [
@@ -222,7 +224,7 @@ def is_feasible(p: ExtendedLP) -> bool:
     residual = _residual(p.A, p.b, p.c)
     if isinstance(residual, Optimum):
         return not residual.value.is_top
-    a, b, c = residual
+    a, b, c = residual[:3]
     return solve_inequality(a, b, ncols=len(c)).is_primal
 
 
@@ -267,9 +269,10 @@ def opposites_opt(p: Optimum, q: Optimum) -> bool:
     return p.value == -q.value
 
 
-def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector) -> Optimum | tuple[list, list, list]:
+def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector) -> Optimum | tuple:
     """The optimum of ``(A, b, c)`` if the infinity placements decide it,
-    else the finite residual program ``(A', b', c')``.
+    else the finite residual ``(A', b', c')`` and the rows and columns of
+    ``A`` it keeps.
 
     :func:`~extlp.farkas.infinity_masks` drops the rows that always hold
     and the columns a live top forces to zero, or finds a live bot
@@ -287,7 +290,7 @@ def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector) -> Optimum | tuple[list,
     rhs = [b[i].finite_value for i in live]
     if bot_cost:
         return Optimum.of(BOT if solve_inequality(sub, rhs, ncols=len(keep)).is_primal else TOP)
-    return sub, rhs, [c[j].finite_value for j in keep]
+    return sub, rhs, [c[j].finite_value for j in keep], live, keep
 
 
 def _mirror(a: list, b: list, c: list) -> tuple[list, list, list]:
@@ -295,45 +298,87 @@ def _mirror(a: list, b: list, c: list) -> tuple[list, list, list]:
     return [tuple(-row[j] for row in a) for j in range(len(c))], c, b
 
 
-def _decide(residual: Optimum | tuple[list, list, list]) -> tuple[Optimum, Optimum | None]:
+def _dual_mirrors(a: ExtMatrix, b: ExtVector, c: ExtVector, live: list, keep: list) -> bool:
+    """Whether the dual's residual is the :func:`_mirror` of a primal one on
+    rows ``live`` and columns ``keep`` of ``A``, read off ``A`` by index.
+
+    Unless a bot in ``b``, its cost, decides it, the dual keeps as rows the
+    columns ``j`` with ``c[j]`` not top and no top in column ``j``, and as
+    columns the rows ``i`` with finite ``b[i]`` and no bot at those ``j``.
+    """
+    cols = [j for j in range(a.ncols) if not c[j].is_top and not any(r[j].is_top for r in a)]
+    return cols == keep and not any(e.is_bot for e in b) and live == [
+        i for i, r in enumerate(a) if b[i].is_finite and not any(r[j].is_bot for j in cols)
+    ]
+
+
+def _ints(v) -> tuple[list[int], int]:
+    """Fractions ``v`` as integers over the lcm of their denominators."""
+    den = lcm(*(f.denominator for f in v))
+    return [f.numerator * (den // f.denominator) for f in v], den
+
+
+def _int_dot(coefs: list, ws: list[int], dw: int) -> tuple[int, int]:
+    """``coefs . ws / dw`` for Fractions ``coefs`` as a numerator and a denominator."""
+    nums, den = _ints(coefs)
+    return sum(map(mul, nums, ws)), den * dw
+
+
+def _check_pair(a: list, b: list, c: list, x: tuple, y: tuple) -> Fraction:
+    """``c . x`` once ``x >= 0``, ``A x <= b``, ``y >= 0``, ``-A^T y <= c``
+    and ``c . x + b . y == 0`` hold, else TheoremViolationError.  Sums run
+    over the support of ``x`` or ``y`` and compare ints, cleared of
+    denominators per vector and per row or column; of the solve, only the
+    returned pair goes in."""
+    (xs, dx), (ys, dy) = _ints(x), _ints(y)
+    sx = [j for j, v in enumerate(xs) if v]
+    sy = [i for i, v in enumerate(ys) if v]
+    xw, yw = [xs[j] for j in sx], [ys[i] for i in sy]
+    rows = (_int_dot([row[j] for j in sx], xw, dx) for row in a)
+    if min(xs, default=0) < 0 or any(s * t.denominator > t.numerator * d for (s, d), t in zip(rows, b)):
+        raise TheoremViolationError("two-phase solve returned an infeasible primal optimum")
+    cols = (_int_dot([a[i][j] for i in sy], yw, dy) for j in range(len(c)))
+    if min(ys, default=0) < 0 or any(-s * t.denominator > t.numerator * d for (s, d), t in zip(cols, c)):
+        raise TheoremViolationError("two-phase solve returned an infeasible dual optimum")
+    (sc, dc), (sb, db) = _int_dot([c[j] for j in sx], xw, dx), _int_dot([b[i] for i in sy], yw, dy)
+    if sc * db + sb * dc:
+        raise TheoremViolationError(f"optimum pair has value sum {Fraction(sc, dc) + Fraction(sb, db)}, expected 0")
+    return Fraction(sc, dc)
+
+
+def _decide(residual: Optimum | tuple) -> tuple[Optimum, Optimum | None]:
     """The optimum of one side and, when the same solve settles it, of the
     residual's :func:`_mirror`: one two-phase solve gives ``(v, -v)``,
-    checked on its witnesses, or ``(bot, top)``; an infeasible primal, or
-    one the placements decide, leaves the dual open (None).
+    checked by :func:`_check_pair`, or ``(bot, top)``; an infeasible primal,
+    or one the placements decide, leaves the dual open (None).
     """
     if isinstance(residual, Optimum):
         return residual, None
-    a, b, c = residual
+    a, b, c = residual[:3]
     out = solve_program(a, b, c)
     if out is TOP:
         return Optimum.of(TOP), None
     if out is BOT:
         return Optimum.of(BOT), Optimum.of(TOP)
-    x, y = out
-    if not (verify_primal_ineq(a, b, x) and verify_primal_ineq(*_mirror(a, b, c)[:2], y)):
-        raise TheoremViolationError("two-phase solve returned an infeasible optimum pair")
-    val_p, val_d = rat_dot(c, x), rat_dot(b, y)
-    if val_p + val_d != 0:
-        raise TheoremViolationError(f"optimum pair has value sum {val_p + val_d}, expected 0")
-    return Optimum.of(val_p), Optimum.of(val_d)
+    value = _check_pair(a, b, c, *out)
+    return Optimum.of(value), Optimum.of(-value)
 
 
 def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
     """Optima of any program and of its dual ``(-A^T, c, b)``.
 
-    When both finite residuals exist and the dual's is the negated
-    transpose of the primal's, which holds for every valid program, one
+    When the primal's residual is finite and :func:`_dual_mirrors` finds
+    the dual's to be its :func:`_mirror`, as for every valid program, one
     :func:`_decide` settles both sides unless the primal is infeasible;
-    then one feasibility test of the dual picks bot or top.  Otherwise each
-    side is decided on its own.
+    then one feasibility test of the mirror picks bot or top.  Otherwise
+    the dual's residual is built and decided on its own.
     """
     primal = _residual(p.A, p.b, p.c)
-    dual = _residual(neg_transpose(p.A), p.c, p.b)
     p_opt, d_opt = _decide(primal)
-    if isinstance(primal, Optimum) or dual != _mirror(*primal):
-        return p_opt, _decide(dual)[0]
+    if isinstance(primal, Optimum) or not _dual_mirrors(p.A, p.b, p.c, *primal[3:]):
+        return p_opt, _decide(_residual(neg_transpose(p.A), p.c, p.b))[0]
     if d_opt is None:
-        a, b, c = dual
+        a, b, c = _mirror(*primal[:3])
         d_opt = Optimum.of(BOT if solve_inequality(a, b, ncols=len(c)).is_primal else TOP)
     return p_opt, d_opt
 

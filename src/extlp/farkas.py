@@ -433,38 +433,29 @@ def solve_extended(a: ExtMatrix, b: ExtVector) -> FarkasOutcome:
 
 def verify_primal_eq(a: Sequence[Sequence], b: Sequence, x: Sequence) -> bool:
     """``x >= 0`` and ``A x == b`` over rationals."""
+    mat, rhs, _ = _rational_system(a, b, None)
     xs = rat_vector(x)
-    if any(v < 0 for v in xs):
-        return False
-    return rat_mat_vec([rat_vector(r) for r in a], xs) == tuple(rat_vector(b))
+    return all(v >= 0 for v in xs) and rat_mat_vec(mat, xs) == rhs
 
 
 def verify_dual_eq(a: Sequence[Sequence], b: Sequence, y: Sequence) -> bool:
     """``A^T y >= 0`` and ``b . y < 0`` over rationals; ``y`` may have any sign."""
+    mat, rhs, ncols = _rational_system(a, b, None)
     ys = rat_vector(y)
-    mat = [rat_vector(r) for r in a]
-    ncols = len(mat[0]) if mat else 0
-    cols = rat_transpose(mat, ncols=ncols)
-    if any(rat_dot(col, ys) < 0 for col in cols):
-        return False
-    return rat_dot(rat_vector(b), ys) < 0
+    return all(rat_dot(col, ys) >= 0 for col in rat_transpose(mat, ncols=ncols)) and rat_dot(rhs, ys) < 0
 
 
 def verify_primal_ineq(a: Sequence[Sequence], b: Sequence, x: Sequence) -> bool:
     """``x >= 0`` and ``A x <= b`` over rationals."""
+    mat, rhs, _ = _rational_system(a, b, None)
     xs = rat_vector(x)
-    if any(v < 0 for v in xs):
-        return False
-    lhs = rat_mat_vec([rat_vector(r) for r in a], xs)
-    return all(l <= r for l, r in zip(lhs, rat_vector(b)))
+    return all(v >= 0 for v in xs) and all(l <= r for l, r in zip(rat_mat_vec(mat, xs), rhs))
 
 
 def verify_dual_ineq(a: Sequence[Sequence], b: Sequence, y: Sequence) -> bool:
     """``y >= 0``, ``A^T y >= 0`` and ``b . y < 0`` over rationals."""
     ys = rat_vector(y)
-    if any(v < 0 for v in ys):
-        return False
-    return verify_dual_eq(a, b, ys)
+    return verify_dual_eq(a, b, ys) and all(v >= 0 for v in ys)
 
 
 def verify_primal_ext(a: ExtMatrix, b: ExtVector, x: Sequence) -> bool:

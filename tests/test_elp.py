@@ -16,6 +16,7 @@ from extlp import (
     InvalidProgramError,
     Optimum,
     PreconditionError,
+    TheoremViolationError,
     ValidELP,
     dualize,
     finite,
@@ -32,7 +33,10 @@ from extlp import (
     validate,
     weak_duality_check,
 )
+from extlp import elp as elp_module
 from extlp import farkas as farkas_module
+from extlp.extlinalg import neg_transpose, rat_dot
+from extlp.farkas import verify_primal_ineq
 from extlp.oracle import oracle_feasible_point
 from conftest import load_program
 
@@ -322,6 +326,129 @@ def test_optimum_pair_on_larger_planted_programs(n, solves):
     p_opt, d_opt = optimum_pair(p)
     assert p_opt.value == finite(value) and d_opt.value == finite(-value)
     assert len(solves) == 1
+
+
+# --- the optimum pair's check ---
+
+# min -x0 - 2 x1 over x0 + x1 <= 4, x0 - x1 <= 2: optimum x = (0, 4),
+# dual y = (2, 0), value -8
+CHECKED = ExtendedLP([[1, 1], [1, -1]], [4, 2], [-1, -2])
+OPTIMAL_X, OPTIMAL_Y = (Fraction(0), Fraction(4)), (Fraction(2), Fraction(0))
+
+
+def test_the_check_accepts_an_optimal_pair(monkeypatch):
+    monkeypatch.setattr(elp_module, "solve_program", lambda a, b, c: (OPTIMAL_X, OPTIMAL_Y))
+    p_opt, d_opt = optimum_pair(CHECKED)
+    assert p_opt.value == finite(-8) and d_opt.value == finite(8)
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ((-1, 4), OPTIMAL_Y, "primal"),  # x0 < 0, both rows hold
+        ((0, 5), OPTIMAL_Y, "primal"),  # row 0: 5 > 4
+        (OPTIMAL_X, (2, -1), "dual"),  # y1 < 0, both columns hold
+        (OPTIMAL_X, (1, 0), "dual"),  # column 1: -1 > -2
+        ((0, 0), OPTIMAL_Y, "value sum 8"),  # feasible, c . x + b . y == 8
+    ],
+)
+def test_the_check_rejects_a_bad_witness(x, y, message, monkeypatch):
+    pair = tuple(map(Fraction, x)), tuple(map(Fraction, y))
+    monkeypatch.setattr(elp_module, "solve_program", lambda a, b, c: pair)
+    with pytest.raises(TheoremViolationError, match=message):
+        optimum_pair(CHECKED)
+
+
+def check_stage(a, b, c, x, y) -> str | None:
+    """The first part of ``_check_pair`` that fails, None when it passes."""
+    try:
+        value = elp_module._check_pair(a, b, c, x, y)
+    except TheoremViolationError as exc:
+        return next(stage for stage in ("primal", "dual", "value") if stage in str(exc))
+    assert value == rat_dot(c, x)
+    return None
+
+
+def test_the_integer_check_agrees_with_verify_primal_ineq():
+    rng = random.Random(7)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+
+    def perturb(v):
+        v = list(v)
+        for k in rng.sample(range(len(v)), rng.randint(0, len(v))):
+            v[k] = rng.choice([Fraction(0), -v[k], v[k] + Fraction(rng.randint(-2, 2), rng.randint(1, 4))])
+        return tuple(v)
+
+    stages = {}
+    for _ in range(900):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        a = [tuple(entry() for _ in range(n)) for _ in range(m)]
+        b, c = [entry() for _ in range(m)], [entry() for _ in range(n)]
+        out = farkas_module.solve_program(a, b, c)
+        x, y = out if isinstance(out, tuple) else ((Fraction(0),) * n, (Fraction(0),) * m)
+        if rng.random() < 0.8:
+            x, y = perturb(x), perturb(y)
+        if not verify_primal_ineq(a, b, x):
+            expected = "primal"
+        elif not verify_primal_ineq(*elp_module._mirror(a, b, c)[:2], y):
+            expected = "dual"
+        else:
+            expected = "value" if rat_dot(c, x) + rat_dot(b, y) else None
+        assert check_stage(a, b, c, x, y) == expected, (a, b, c, x, y)
+        stages[expected] = stages.get(expected, 0) + 1
+    assert len(stages) == 4 and min(stages.values()) >= 10, stages
+
+
+# --- the dual's placement, read by index ---
+
+
+def random_extended_program(rng: random.Random) -> ExtendedLP:
+    """A program, mostly invalid, with a bot or top in about a third of the entries."""
+    m, n = rng.randint(1, 4), rng.randint(1, 4)
+
+    def entry():
+        return rng.choice(["bot", "top", rng.randint(-3, 3)]) if rng.random() < 0.35 else rng.randint(-3, 3)
+
+    return ExtendedLP([[entry() for _ in range(n)] for _ in range(m)], [entry() for _ in range(m)], [entry() for _ in range(n)])
+
+
+def test_the_index_test_takes_the_shared_path_only_on_a_mirrored_dual():
+    rng = random.Random(11)
+    programs = [gen_valid_elp(GenConfig(rows=1 + k % 4, cols=1 + k // 4 % 4, seed=k, infinity_prob=0.3)) for k in range(300)]
+    programs += [random_extended_program(rng) for _ in range(1500)]
+    paths = {}
+    for p in programs:
+        valid = validate(p).is_valid
+        primal = elp_module._residual(p.A, p.b, p.c)
+        # the test optimum_pair makes before it decides the dual from the primal's mirror
+        shared = not isinstance(primal, Optimum) and elp_module._dual_mirrors(p.A, p.b, p.c, *primal[3:])
+        paths[valid, shared] = paths.get((valid, shared), 0) + 1
+        if not shared:
+            # a valid program leaves the shared path only when placements decide its primal
+            assert not valid or isinstance(primal, Optimum)
+            continue
+        sub, rhs, cost, live, keep = primal
+        dual = elp_module._residual(neg_transpose(p.A), p.c, p.b)
+        assert dual == (*elp_module._mirror(sub, rhs, cost), keep, live)
+    assert len(paths) == 4 and min(paths.values()) >= 30, paths
+
+
+def test_a_valid_finite_program_builds_no_transpose(lunch, monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return neg_transpose(m)
+
+    monkeypatch.setattr(elp_module, "neg_transpose", counted)
+    for p in (lunch, CHECKED):
+        optimum_pair(p)
+    assert calls == []
+    # a dual that is not the primal's mirror is still built from -A^T
+    optimum_pair(ExtendedLP([["bot", -2], [1, 3]], [2, -2], ["top", -3]))
+    assert calls == [(2, 2)]
 
 
 # --- duality checks and bounds ---

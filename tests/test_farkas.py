@@ -53,12 +53,27 @@ def test_empty_functional_list_zero_target():
 
 def test_empty_functional_list_nonzero_target():
     out = farkas_bartl([], (2,))
-    assert out.is_dual and verify_dual_eq([], (2,), out.y)
+    # no functionals on Q^1: as a system, one row of width zero
+    assert out.is_dual and verify_dual_eq([[]], (2,), out.y)
 
 
 def test_arity_mismatch_rejected():
     with pytest.raises(DimensionError):
         farkas_bartl([(1,), (2, 3)], (1, 2))
+
+
+@pytest.mark.parametrize("verify", [verify_primal_eq, verify_dual_eq, verify_primal_ineq, verify_dual_ineq])
+@pytest.mark.parametrize(
+    "a, b, w",
+    [
+        ([[1], [10]], [5], [3]),  # row 1 has no right-hand side
+        ([[1, 2], [1]], [1, -1], [1, 1]),  # ragged rows
+        ([], [2], [1]),  # no rows, one right-hand side
+    ],
+)
+def test_verifiers_reject_a_misshapen_system(verify, a, b, w):
+    with pytest.raises(DimensionError):
+        verify(a, b, w)
 
 
 # --- equality systems ---
