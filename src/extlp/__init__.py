@@ -11,6 +11,9 @@ The pieces, bottom to top:
 * :mod:`extlp.oracle` -- independent brute-force reference solvers and a
   seeded random program generator;
 * :mod:`extlp.cli` -- the ``extlp`` command and the program file format.
+
+``import extlp`` loads every module but the oracle, which loads on the first
+read of ``extlp.oracle`` or of one of its names, so only its users pay for it.
 """
 
 from .errors import (
@@ -83,14 +86,19 @@ from .elp import (
     validate,
     weak_duality_check,
 )
-from .oracle import (
-    GenConfig,
-    OracleResult,
-    fm_minimum,
-    gen_valid_elp,
-    oracle_feasible_point,
-    oracle_solve_extended,
-    oracle_solve_finite,
-)
+
+# served from the oracle, which loads on the first read of one of them (PEP 562)
+_ORACLE_NAMES = {"GenConfig", "OracleResult", "fm_minimum", "gen_valid_elp",
+                 "oracle_feasible_point", "oracle_solve_extended", "oracle_solve_finite"}
+
+
+def __getattr__(name: str):
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    oracle = import_module(".oracle", __name__)
+    return oracle if name == "oracle" else getattr(oracle, name)
+
 
 __version__ = "0.1.0"

@@ -20,14 +20,14 @@ or decimal).  Subcommands: ``validate``, ``dualize``, ``solve``,
 core.  Exit codes: 0 success, 2 precondition or validity violation (or,
 under ``solve --oracle``, a program beyond the brute-force oracle's size
 cap), 3 parse error, 4 internal theorem violation (including oracle
-disagreement under ``--oracle``).
+disagreement under ``--oracle``).  The brute-force oracle is imported only
+under ``solve --oracle`` and ``json`` only under ``--json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 
@@ -35,7 +35,6 @@ from .errors import DomainError, LPFormatError, PreconditionError, ScaleLimitErr
 from .extfield import format_ext, parse_ext
 from .extlinalg import ExtMatrix, ExtVector
 from .elp import (
-    CONDITIONS,
     ExtendedLP,
     dualize,
     opposites_opt,
@@ -53,7 +52,6 @@ from .farkas import (
     verify_primal_ext,
     verify_primal_ineq,
 )
-from .oracle import MAX_ORACLE_COLS, MAX_ORACLE_ROWS, oracle_solve_extended
 
 __all__ = ["main", "parse_program_text", "format_program"]
 
@@ -92,7 +90,7 @@ def parse_program_text(text: str) -> tuple[ExtMatrix, ExtVector, ExtVector | Non
         except DomainError as exc:
             raise LPFormatError(f"line {line_no}: {exc}") from None
 
-    rows = cols = None
+    dims: dict[str, int] = {}
     for _ in range(2):
         no, line = take("a 'rows N' or 'cols N' header")
         parts = line.split()
@@ -104,15 +102,10 @@ def parse_program_text(text: str) -> tuple[ExtMatrix, ExtVector, ExtVector | Non
             raise LPFormatError(f"line {no}: bad count {parts[1]!r}") from None
         if n < 1:
             raise LPFormatError(f"line {no}: {parts[0]} must be at least 1")
-        if parts[0] == "rows":
-            if rows is not None:
-                raise LPFormatError(f"line {no}: duplicate rows header")
-            rows = n
-        else:
-            if cols is not None:
-                raise LPFormatError(f"line {no}: duplicate cols header")
-            cols = n
-    assert rows is not None and cols is not None
+        if parts[0] in dims:
+            raise LPFormatError(f"line {no}: duplicate {parts[0]} header")
+        dims[parts[0]] = n
+    rows, cols = dims["rows"], dims["cols"]
 
     no, line = take("the 'A' section")
     if line != "A":
@@ -175,6 +168,7 @@ def _header(ctx: dict) -> list[str]:
 
 def _emit(lines: list[str], data: dict, as_json: bool) -> str:
     if as_json:
+        import json
         return json.dumps(data) + "\n"
     return "\n".join(lines) + "\n"
 
@@ -192,12 +186,7 @@ def _cmd_validate(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]
         f"cols {prog.A.ncols}",
     ]
     conditions = report.as_dict()
-    for name in CONDITIONS:
-        idx = conditions[name]
-        if idx:
-            lines.append(f"{name} violated {' '.join(str(i) for i in idx)}")
-        else:
-            lines.append(f"{name} ok")
+    lines += [f"{name} violated {' '.join(map(str, idx))}" if idx else f"{name} ok" for name, idx in conditions.items()]
     lines.append(f"valid {_fmt(report.is_valid)}")
     data = dict(
         ctx,
@@ -220,7 +209,7 @@ def _cmd_dualize(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]:
             "b": [format_ext(e) for e in dual.b],
             "c": [format_ext(e) for e in dual.c],
         }
-        return json.dumps(dict(ctx, program=program)) + "\n", EXIT_OK
+        return _emit([], dict(ctx, program=program), True), EXIT_OK
     # the seed stays out of the dual program's comments
     return format_program(dual.A, dual.b, dual.c, tuple(_header(ctx)[:3])), EXIT_OK
 
@@ -232,6 +221,7 @@ def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) ->
 
     oracle_verdict = None
     if with_oracle:
+        from .oracle import oracle_solve_extended
         reference = (oracle_solve_extended(prog), oracle_solve_extended(dualize(prog)))
         if reference != (opt, dual_opt):
             raise TheoremViolationError(
@@ -373,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -405,6 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
     except ScaleLimitError:
         # only solve --oracle raises it, naming a masked residual, not the input
+        from .oracle import MAX_ORACLE_COLS, MAX_ORACLE_ROWS
         cap = f"{MAX_ORACLE_ROWS}x{MAX_ORACLE_COLS}"
         print(f"scale limit: the {a.nrows}x{a.ncols} input or its dual exceeds the oracle cap {cap}", file=sys.stderr)
         return EXIT_PRECONDITION

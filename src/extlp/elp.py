@@ -16,12 +16,11 @@ primal's, as for every valid program, that solve's optimal pair ``(x, y)``,
 checked in integers on its support, or an unbounded objective decides both
 optima; only an infeasible primal needs a feasibility test of the dual.
 Otherwise each side is decided on its own.  Only ``is_unbounded`` and
-``strong_duality_check`` rest on duality and so require validity.
+``strong_duality_check`` are stated through duality and so require validity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -48,6 +47,8 @@ from .farkas import (
     MIXED_COL,
     MIXED_ROW,
     TOP_ROW_TOP_RHS,
+    _Record,
+    _set,
     infinity_masks,
     solve_inequality,
     solve_program,
@@ -98,41 +99,40 @@ DUAL_CONDITION_SWAP = {
     BOT_COL_TOP_COST: TOP_ROW_TOP_RHS,
 }
 
-@dataclass(frozen=True)
-class ExtendedLP:
+class ExtendedLP(_Record):
     """Minimize ``c . x`` over finite ``x >= 0`` subject to ``A x <= b``."""
 
-    A: ExtMatrix
-    b: ExtVector
-    c: ExtVector
+    __slots__ = __match_args__ = ("A", "b", "c")
 
-    def __post_init__(self):
-        c = self.c if isinstance(self.c, ExtVector) else ExtVector(self.c)
-        b = self.b if isinstance(self.b, ExtVector) else ExtVector(self.b)
-        a = self.A if isinstance(self.A, ExtMatrix) else ExtMatrix(self.A, ncols=len(c))
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+    def __init__(self, A: ExtMatrix, b: ExtVector, c: ExtVector):
+        c = c if isinstance(c, ExtVector) else ExtVector(c)
+        b = b if isinstance(b, ExtVector) else ExtVector(b)
+        a = A if isinstance(A, ExtMatrix) else ExtMatrix(A, ncols=len(c))
         if len(b) != a.nrows:
             raise DimensionError(f"b has {len(b)} entries for {a.nrows} rows")
         if len(c) != a.ncols:
             raise DimensionError(f"c has {len(c)} entries for {a.ncols} columns")
+        _set(self, "A", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.A.shape
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(_Record):
     """Per-condition violating indices; a valid program has all six empty."""
 
-    mixed_row: tuple[int, ...]
-    mixed_col: tuple[int, ...]
-    bot_row_bot_rhs: tuple[int, ...]
-    top_col_bot_cost: tuple[int, ...]
-    top_row_top_rhs: tuple[int, ...]
-    bot_col_top_cost: tuple[int, ...]
+    __slots__ = __match_args__ = CONDITIONS
+
+    def __init__(self, mixed_row, mixed_col, bot_row_bot_rhs, top_col_bot_cost, top_row_top_rhs, bot_col_top_cost):
+        _set(self, "mixed_row", mixed_row)
+        _set(self, "mixed_col", mixed_col)
+        _set(self, "bot_row_bot_rhs", bot_row_bot_rhs)
+        _set(self, "top_col_bot_cost", top_col_bot_cost)
+        _set(self, "top_row_top_rhs", top_row_top_rhs)
+        _set(self, "bot_col_top_cost", bot_col_top_cost)
 
     @property
     def is_valid(self) -> bool:
@@ -179,12 +179,13 @@ def validate(p: ExtendedLP) -> ValidityReport:
     )
 
 
-@dataclass(frozen=True)
 class ValidELP(ExtendedLP):
     """An :class:`ExtendedLP` that passed validity screening at construction."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, A: ExtMatrix, b: ExtVector, c: ExtVector):
+        super().__init__(A, b, c)
         report = validate(self)
         if not report.is_valid:
             raise InvalidProgramError(report)
@@ -229,14 +230,13 @@ def is_feasible(p: ExtendedLP) -> bool:
 
 
 def is_unbounded(p: ExtendedLP) -> bool:
-    """Feasible with no finite lower bound; decided through dual feasibility,
-    so the program must be valid."""
-    p = _as_valid(p)
-    return is_feasible(p) and not is_feasible(dualize(p))
+    """Feasible with no finite lower bound: an optimum of bot.  The paper
+    states it through dual infeasibility, which agrees only on valid
+    programs, so the program must be valid."""
+    return optimum(_as_valid(p)).value.is_bot
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(_Record):
     """The optimum of a program: a value, or absent.
 
     ``top`` encodes infeasibility, ``bot`` unboundedness, a finite value an
@@ -244,7 +244,10 @@ class Optimum:
     so that the raw reference path can share the type.
     """
 
-    value: ExtValue | None
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: ExtValue | None):
+        _set(self, "value", value)
 
     @classmethod
     def of(cls, v) -> "Optimum":

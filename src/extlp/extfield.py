@@ -20,6 +20,7 @@ Scaling by a negative rational is undefined and raises :class:`DomainError`.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import DomainError
@@ -203,9 +204,15 @@ def smul_nn(scale, v: ExtValue) -> ExtValue:
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse ``p/q``, integer or decimal literals exactly."""
+    """Parse ``p/q``, integer or decimal literals exactly; an exponent over
+    Python's limit on the digits of an int (0 for none) is refused unbuilt."""
+    t = token.strip()
     try:
-        return Fraction(token.strip())
+        exp = t.lower().partition("e")[2]
+        limit = exp and getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit before 3.10.7
+        if limit and abs(int(exp)) > limit:
+            raise ValueError(f"exponent exceeds the limit ({limit}) for integer string conversion")
+        return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad rational literal {token!r}: {exc}") from None
 

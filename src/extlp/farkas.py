@@ -24,7 +24,6 @@ reference the simplex is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -68,17 +67,45 @@ __all__ = [
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class FarkasOutcome:
+
+class _Record:
+    """A read-only record of the fields in ``__match_args__``, which ``__init__``
+    sets through ``_set``; like a frozen dataclass, it equals only a record of
+    its own class with equal fields, and hashes and prints its fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__  # ``value`` has a default for this
+
+
+class FarkasOutcome(_Record):
     """Exactly one of a primal witness ``x`` or a dual certificate ``y``."""
 
-    x: tuple[Fraction, ...] | None
-    y: tuple[Fraction, ...] | None
+    __slots__ = __match_args__ = ("x", "y")
 
-    def __post_init__(self):
-        if (self.x is None) == (self.y is None):
+    def __init__(self, x: tuple[Fraction, ...] | None, y: tuple[Fraction, ...] | None):
+        if (x is None) == (y is None):
             raise ValueError("outcome must carry exactly one witness")
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     @classmethod
     def primal(cls, x: Sequence[Fraction]) -> "FarkasOutcome":

@@ -14,7 +14,6 @@ Everything is exact and deliberately slow; sizes are capped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -23,6 +22,7 @@ from .errors import GenerationBudgetError, ScaleLimitError, TheoremViolationErro
 from .extfield import BOT, TOP, ExtValue
 from .extlinalg import ExtMatrix, ExtVector, rat_dot, rat_vector
 from .elp import ExtendedLP, Optimum, ValidELP, validate
+from .farkas import _Record, _set
 
 __all__ = [
     "OracleResult",
@@ -48,8 +48,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Record):
     """Outcome of a finite reference solve.
 
     ``point`` is an argmin for :func:`oracle_solve_finite` (Fourier-Motzkin
@@ -57,10 +56,13 @@ class OracleResult:
     ``ray >= 0``, ``A ray <= 0`` and ``c . ray <= -1``.
     """
 
-    status: str
-    value: Fraction | None = None
-    point: tuple[Fraction, ...] | None = None
-    ray: tuple[Fraction, ...] | None = None
+    __slots__ = __match_args__ = ("status", "value", "point", "ray")
+
+    def __init__(self, status: str, value: Fraction | None = None, point: tuple | None = None, ray: tuple | None = None):
+        _set(self, "status", status)
+        _set(self, "value", value)
+        _set(self, "point", point)
+        _set(self, "ray", ray)
 
 
 def _solve_square(mat: list[tuple[Fraction, ...]], rhs: list[Fraction]) -> tuple[Fraction, ...] | None:
@@ -240,24 +242,24 @@ def oracle_solve_extended(p: ExtendedLP) -> Optimum:
     return Optimum.of(ExtValue(res.value))
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(_Record):
     """Shape, entry distribution and seed for :func:`gen_valid_elp`."""
 
-    rows: int
-    cols: int
-    magnitude: int = 3
-    infinity_prob: float = 0.25
-    seed: int = 0
-    max_attempts: int = 10000
+    __slots__ = __match_args__ = ("rows", "cols", "magnitude", "infinity_prob", "seed", "max_attempts")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ScaleLimitError(f"generator needs at least one row and one column, got {self.rows}x{self.cols}")
-        if self.magnitude < 0:
-            raise ScaleLimitError(f"negative magnitude {self.magnitude}")
-        if not 0 <= self.infinity_prob <= 1:
-            raise ScaleLimitError(f"infinity_prob {self.infinity_prob} outside [0, 1]")
+    def __init__(self, rows, cols, magnitude=3, infinity_prob=0.25, seed=0, max_attempts=10000):
+        if rows < 1 or cols < 1:
+            raise ScaleLimitError(f"generator needs at least one row and one column, got {rows}x{cols}")
+        if magnitude < 0:
+            raise ScaleLimitError(f"negative magnitude {magnitude}")
+        if not 0 <= infinity_prob <= 1:
+            raise ScaleLimitError(f"infinity_prob {infinity_prob} outside [0, 1]")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "magnitude", magnitude)
+        _set(self, "infinity_prob", infinity_prob)
+        _set(self, "seed", seed)
+        _set(self, "max_attempts", max_attempts)
 
 
 def gen_valid_elp(cfg: GenConfig) -> ValidELP:

@@ -1,11 +1,17 @@
 """Command line surface: golden reports, exit codes, seed plumbing."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import extlp.cli
 import extlp.elp
@@ -98,6 +104,59 @@ def test_duplicate_header_rejected(tmp_path, capsys):
     bad.write_text("rows 1\nrows 1\ncols 1\nA\n1\nb\n0\n")
     assert main(["validate", str(bad)]) == EXIT_PARSE
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_a_parse_failure(tmp_path, capsys):
+    bad = tmp_path / "bad.lp"
+    bad.write_bytes(b"\xff\xfe rows")
+    assert main(["validate", str(bad)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_a_huge_exponent_is_refused_not_expanded(tmp_path, capsys):
+    # twelve bytes that made Fraction build 10**999999999
+    huge = tmp_path / "huge.lp"
+    huge.write_text("rows 1\ncols 1\nA\n1e999999999\nb\n1\nc\n1\n")
+    assert main(["validate", str(huge)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 4: bad rational literal '1e999999999'")
+
+
+_ENTRIES = st.sampled_from(["0", "1", "-2", "3/4", "-1.5", "2e1", "bot", "top", "bot", "top"])
+_JUNK = st.sampled_from(["1/0", "x", "1e99999", "rows", "A", "#", ""])
+
+
+@st.composite
+def _token_grids(draw):
+    """A program file of random tokens, mostly well shaped, sometimes cut short."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = _ENTRIES | _JUNK if draw(st.integers(0, 3)) == 0 else _ENTRIES
+
+    def line(n):
+        return " ".join(draw(st.lists(entries, min_size=n, max_size=n)))
+
+    lines = [f"rows {rows}", f"cols {cols}", "A", *(line(cols) for _ in range(rows)), "b", line(rows), "c", line(cols)]
+    return "\n".join(lines[: draw(st.integers(len(lines) - 3, len(lines)))]).encode()
+
+
+_COMMANDS = st.sampled_from(
+    [["validate"], ["dualize"], ["solve"], ["solve", "--oracle"], ["farkas"]]
+    + [["farkas", "--mode", mode] for mode in ("eq", "ineq", "ineq-neg")]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=60) | _token_grids(), command=_COMMANDS, as_json=st.booleans())
+def test_no_input_escapes_the_documented_exit_codes(tmp_path_factory, data, command, as_json):
+    path = tmp_path_factory.getbasetemp() / "fuzz.lp"
+    path.write_bytes(data)
+    argv = [command[0], str(path), *command[1:]] + ["--json"] * as_json
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_PARSE), err.getvalue()
 
 
 # --- seed plumbing ---
@@ -257,3 +316,38 @@ def test_solve_validates_once(tmp_path, monkeypatch, capsys):
         code, out, _ = run_cli(["solve", path], capsys)
         assert code == EXIT_OK and "valid true" in out.splitlines()
         assert len(calls) == 1, path
+
+
+# --- start-up cost ---
+
+
+def test_a_plain_request_loads_neither_the_oracle_nor_json_nor_dataclasses():
+    # modules that site already loaded do not count
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import extlp.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for command in ('validate', 'dualize', 'solve', 'farkas'):\n"
+        "        extlp.cli.main([command, sys.argv[1]])\n"
+        "print(sorted({'dataclasses', 'json', 'extlp.oracle'} & (set(sys.modules) - before)))\n"
+        "from extlp import oracle, oracle_solve_extended\n"
+        "print(oracle_solve_extended is oracle.oracle_solve_extended)\n"
+    )
+    src = Path(extlp.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(fixture_path("lunch.lp"))], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nTrue\n"
+
+
+def test_the_package_serves_the_oracle_names():
+    import extlp
+    from extlp import oracle, oracle_solve_extended
+
+    assert oracle_solve_extended is oracle.oracle_solve_extended
+    assert extlp.GenConfig is oracle.GenConfig and extlp.oracle is oracle
+    with pytest.raises(AttributeError):
+        extlp.no_such_name

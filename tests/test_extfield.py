@@ -1,6 +1,7 @@
 """Arithmetic and order laws of the extended carrier."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,21 @@ def test_parse_rejects_garbage():
     for bad in ("", "infinity", "1/0", "--3", "nan", "0x3"):
         with pytest.raises(DomainError):
             parse_ext(bad)
+
+
+def test_parse_refuses_an_exponent_over_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse_ext(f"1e{limit}") == finite(10**limit)
+    assert parse_ext(f"2.5E-{limit}") == finite(Fraction(25, 10 ** (limit + 1)))
+    # 1e999999999 would otherwise build 10**999999999 and hang
+    for bad in (f"1e{limit + 1}", f"-1E-{limit + 1}", "1e999999999", "3/4e5", "1e5x"):
+        with pytest.raises(DomainError):
+            parse_ext(bad)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_ext(f"1e{limit + 1}") == finite(10 ** (limit + 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_repr_and_hash_consistency():
