@@ -260,12 +260,8 @@ def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) ->
 def _farkas_preconditions(a: ExtMatrix, b: ExtVector, mode: str) -> dict[str, tuple[int, ...]]:
     if mode == "ext":
         return {}
-    rows = [
-        i
-        for i in range(a.nrows)
-        if not b[i].is_finite or not all(e.is_finite for e in a[i])
-    ]
-    return {"finite_entries": tuple(rows)} if rows else {}
+    rows = {i for i, _ in a.bots + a.tops} | {i for i, e in enumerate(b) if not e.is_finite}
+    return {"finite_entries": tuple(sorted(rows))} if rows else {}
 
 
 # mode -> (solver, primal verifier, dual verifier)
@@ -374,8 +370,11 @@ def main(argv: list[str] | None = None) -> int:
         "seed": seed,
     }
 
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit before 3.10.7
     try:
         a, b, c = parse_program_text(text)
+        if digits:  # the parse kept the limit; a parsed value and the answers print in full
+            sys.set_int_max_str_digits(0)
         if args.command == "validate":
             out, code = _cmd_validate(ExtendedLP(a, b, _require_cost(c)), ctx, args.json)
         elif args.command == "dualize":
@@ -399,6 +398,9 @@ def main(argv: list[str] | None = None) -> int:
         cap = f"{MAX_ORACLE_ROWS}x{MAX_ORACLE_COLS}"
         print(f"scale limit: the {a.nrows}x{a.ncols} input or its dual exceeds the oracle cap {cap}", file=sys.stderr)
         return EXIT_PRECONDITION
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
     sys.stdout.write(out)
     return code

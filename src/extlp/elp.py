@@ -159,24 +159,11 @@ def validate(p: ExtendedLP) -> ValidityReport:
     * a column whose ``c`` entry is bot must not carry top in ``A``
       (``top_col_bot_cost``), and dually (``bot_col_top_cost``).
     """
-    a, b, c = p.A, p.b, p.c
-    sys_bad = system_preconditions(a, b)
-    top_col_bot_cost = []
-    bot_col_top_cost = []
-    for j in range(a.ncols):
-        col = [a[i][j] for i in range(a.nrows)]
-        if c[j].is_bot and any(e.is_top for e in col):
-            top_col_bot_cost.append(j)
-        if c[j].is_top and any(e.is_bot for e in col):
-            bot_col_top_cost.append(j)
-    return ValidityReport(
-        mixed_row=sys_bad.get(MIXED_ROW, ()),
-        mixed_col=sys_bad.get(MIXED_COL, ()),
-        bot_row_bot_rhs=sys_bad.get(BOT_ROW_BOT_RHS, ()),
-        top_col_bot_cost=tuple(top_col_bot_cost),
-        top_row_top_rhs=sys_bad.get(TOP_ROW_TOP_RHS, ()),
-        bot_col_top_cost=tuple(bot_col_top_cost),
-    )
+    a, c = p.A, p.c
+    found = system_preconditions(a, p.b)
+    found[TOP_COL_BOT_COST] = tuple(sorted({j for _, j in a.tops if c[j].is_bot}))
+    found[BOT_COL_TOP_COST] = tuple(sorted({j for _, j in a.bots if c[j].is_top}))
+    return ValidityReport(*[found.get(name, ()) for name in CONDITIONS])
 
 
 class ValidELP(ExtendedLP):
@@ -308,10 +295,13 @@ def _dual_mirrors(a: ExtMatrix, b: ExtVector, c: ExtVector, live: list, keep: li
     Unless a bot in ``b``, its cost, decides it, the dual keeps as rows the
     columns ``j`` with ``c[j]`` not top and no top in column ``j``, and as
     columns the rows ``i`` with finite ``b[i]`` and no bot at those ``j``.
+    The tops and bots of ``A`` come from its endpoint index.
     """
-    cols = [j for j in range(a.ncols) if not c[j].is_top and not any(r[j].is_top for r in a)]
+    top_cols = {j for _, j in a.tops}
+    cols = [j for j in range(a.ncols) if not c[j].is_top and j not in top_cols]
+    dead = {i for i, j in a.bots if not c[j].is_top and j not in top_cols}
     return cols == keep and not any(e.is_bot for e in b) and live == [
-        i for i, r in enumerate(a) if b[i].is_finite and not any(r[j].is_bot for j in cols)
+        i for i in range(a.nrows) if b[i].is_finite and i not in dead
     ]
 
 

@@ -73,9 +73,12 @@ class ExtMatrix:
 
     ``M[i]`` is the full i-th row (an :class:`ExtVector`), so entries read
     ``M[i][j]``.  An explicit ``ncols`` is required when there are no rows.
+    ``bots`` and ``tops`` index the endpoints once, at construction: the
+    ``(i, j)`` positions of the bot and of the top entries, in row-major
+    order, ``()`` for an all-finite matrix.
     """
 
-    __slots__ = ("_rows", "_ncols")
+    __slots__ = ("_rows", "_ncols", "_bots", "_tops")
 
     def __init__(self, rows: Iterable, ncols: int | None = None):
         self._rows = tuple(r if isinstance(r, ExtVector) else ExtVector(r) for r in rows)
@@ -91,6 +94,8 @@ class ExtMatrix:
             if ncols is None:
                 raise DimensionError("a matrix with no rows needs an explicit ncols")
             self._ncols = ncols
+        self._bots = tuple((i, j) for i, r in enumerate(self._rows) for j, e in enumerate(r) if e.is_bot)
+        self._tops = tuple((i, j) for i, r in enumerate(self._rows) for j, e in enumerate(r) if e.is_top)
 
     @property
     def nrows(self) -> int:
@@ -107,6 +112,14 @@ class ExtMatrix:
     @property
     def rows(self) -> tuple[ExtVector, ...]:
         return self._rows
+
+    @property
+    def bots(self) -> tuple[tuple[int, int], ...]:
+        return self._bots
+
+    @property
+    def tops(self) -> tuple[tuple[int, int], ...]:
+        return self._tops
 
     def col(self, j: int) -> ExtVector:
         if not 0 <= j < self._ncols:

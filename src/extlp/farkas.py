@@ -367,36 +367,18 @@ BOT_ROW_BOT_RHS = "bot_row_bot_rhs"
 def system_preconditions(a: ExtMatrix, b: ExtVector) -> dict[str, tuple[int, ...]]:
     """Violations of the four hypotheses :func:`solve_extended` needs.
 
-    Keys are condition names, values the offending row/column indices; only
-    violated conditions appear.
+    Keys are condition names, values the offending row/column indices in
+    ascending order; only violated conditions appear.  They are read off
+    the endpoint index ``a.bots`` / ``a.tops`` and ``b``.
     """
-    mixed_rows = []
-    top_top, bot_bot = [], []
-    for i in range(a.nrows):
-        row = a[i]
-        has_bot = any(e.is_bot for e in row)
-        has_top = any(e.is_top for e in row)
-        if has_bot and has_top:
-            mixed_rows.append(i)
-        if has_top and b[i].is_top:
-            top_top.append(i)
-        if has_bot and b[i].is_bot:
-            bot_bot.append(i)
-    mixed_cols = []
-    for j in range(a.ncols):
-        col = [a[i][j] for i in range(a.nrows)]
-        if any(e.is_bot for e in col) and any(e.is_top for e in col):
-            mixed_cols.append(j)
-    out: dict[str, tuple[int, ...]] = {}
-    if mixed_rows:
-        out[MIXED_ROW] = tuple(mixed_rows)
-    if mixed_cols:
-        out[MIXED_COL] = tuple(mixed_cols)
-    if top_top:
-        out[TOP_ROW_TOP_RHS] = tuple(top_top)
-    if bot_bot:
-        out[BOT_ROW_BOT_RHS] = tuple(bot_bot)
-    return out
+    bot_rows, top_rows = {i for i, _ in a.bots}, {i for i, _ in a.tops}
+    found = (
+        (MIXED_ROW, bot_rows & top_rows),
+        (MIXED_COL, {j for _, j in a.bots} & {j for _, j in a.tops}),
+        (TOP_ROW_TOP_RHS, {i for i in top_rows if b[i].is_top}),
+        (BOT_ROW_BOT_RHS, {i for i in bot_rows if b[i].is_bot}),
+    )
+    return {name: tuple(sorted(idx)) for name, idx in found if idx}
 
 
 def infinity_masks(a: ExtMatrix, b: ExtVector) -> tuple[list[int], list[int]] | None:
@@ -406,17 +388,15 @@ def infinity_masks(a: ExtMatrix, b: ExtVector) -> tuple[list[int], list[int]] | 
     pinned to bot) or has a top right-hand side; the others are live.  A top
     in a live row forces its variable to zero.  Returns the live rows and
     the columns no live top forces, or None when a live row has a bot
-    right-hand side, which no all-finite row value can meet.
+    right-hand side, which no all-finite row value can meet.  The rows with
+    a bot and the tops come from the endpoint index of ``a``.
     """
-    live = [
-        i
-        for i in range(a.nrows)
-        if not b[i].is_top and not any(e.is_bot for e in a[i])
-    ]
+    bot_rows = {i for i, _ in a.bots}
+    live = [i for i in range(a.nrows) if not b[i].is_top and i not in bot_rows]
     if any(b[i].is_bot for i in live):
         return None
-    free = [j for j in range(a.ncols) if not any(a[i][j].is_top for i in live)]
-    return live, free
+    forced = {j for i, j in a.tops if i not in bot_rows and not b[i].is_top}
+    return live, [j for j in range(a.ncols) if j not in forced]
 
 
 def solve_extended(a: ExtMatrix, b: ExtVector) -> FarkasOutcome:

@@ -125,6 +125,31 @@ def test_a_huge_exponent_is_refused_not_expanded(tmp_path, capsys):
     assert captured.err.startswith("error: line 4: bad rational literal '1e999999999'")
 
 
+def _int_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit before 3.10.7
+
+
+def test_an_optimum_over_the_int_digit_limit_prints_in_full(tmp_path, capsys):
+    # the optimum -10**6000 has more digits than str(int) allows by default
+    wide = tmp_path / "wide.lp"
+    wide.write_text("rows 1\ncols 1\nA\n1\nb\n1e3000\nc\n-1e3000\n")
+    limit = _int_digit_limit()
+    code, out, err = run_cli(["solve", str(wide)], capsys)
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[-3:] == ["optimum -1" + "0" * 6000, "dual_optimum 1" + "0" * 6000, "opposites true"]
+    assert _int_digit_limit() == limit
+
+
+def test_an_entry_at_the_exponent_limit_dualizes(tmp_path, capsys):
+    edge = tmp_path / "edge.lp"
+    edge.write_text("rows 1\ncols 1\nA\n1e4300\nb\n1\nc\n1\n")
+    limit = _int_digit_limit()
+    code, out, err = run_cli(["dualize", str(edge)], capsys)
+    assert code == EXIT_OK and err == ""
+    assert "-1" + "0" * 4300 in out.splitlines()
+    assert _int_digit_limit() == limit
+
+
 _ENTRIES = st.sampled_from(["0", "1", "-2", "3/4", "-1.5", "2e1", "bot", "top", "bot", "top"])
 _JUNK = st.sampled_from(["1/0", "x", "1e99999", "rows", "A", "#", ""])
 

@@ -404,12 +404,14 @@ def test_the_integer_check_agrees_with_verify_primal_ineq():
 # --- the dual's placement, read by index ---
 
 
-def random_extended_program(rng: random.Random) -> ExtendedLP:
-    """A program, mostly invalid, with a bot or top in about a third of the entries."""
-    m, n = rng.randint(1, 4), rng.randint(1, 4)
+def random_extended_program(rng: random.Random, size: int = 4, drawn: float = 0.35) -> ExtendedLP:
+    """A program, often invalid, with 1..size rows and columns; a share
+    ``drawn`` of its entries is drawn from bot, top and an integer, so two
+    thirds of that share are endpoints."""
+    m, n = rng.randint(1, size), rng.randint(1, size)
 
     def entry():
-        return rng.choice(["bot", "top", rng.randint(-3, 3)]) if rng.random() < 0.35 else rng.randint(-3, 3)
+        return rng.choice(["bot", "top", rng.randint(-3, 3)]) if rng.random() < drawn else rng.randint(-3, 3)
 
     return ExtendedLP([[entry() for _ in range(n)] for _ in range(m)], [entry() for _ in range(m)], [entry() for _ in range(n)])
 
@@ -506,3 +508,55 @@ def test_optimum_tokens():
     assert str(Optimum.absent()) == "absent"
     assert Optimum.absent().is_absent
     assert not opposites_opt(Optimum.absent(), Optimum.of(finite(0)))
+
+
+# --- the placement logic against per-entry scans ---
+
+
+def reference_validity(a, b, c) -> dict:
+    """The six conditions of ``validate``'s docstring, scanned entry by entry."""
+    rows = [list(a[i]) for i in range(a.nrows)]
+    cols = [[a[i][j] for i in range(a.nrows)] for j in range(a.ncols)]
+
+    def bot(line):
+        return any(e.is_bot for e in line)
+
+    def top(line):
+        return any(e.is_top for e in line)
+
+    return {
+        "mixed_row": tuple(i for i, r in enumerate(rows) if bot(r) and top(r)),
+        "mixed_col": tuple(j for j, k in enumerate(cols) if bot(k) and top(k)),
+        "bot_row_bot_rhs": tuple(i for i, r in enumerate(rows) if b[i].is_bot and bot(r)),
+        "top_col_bot_cost": tuple(j for j, k in enumerate(cols) if c[j].is_bot and top(k)),
+        "top_row_top_rhs": tuple(i for i, r in enumerate(rows) if b[i].is_top and top(r)),
+        "bot_col_top_cost": tuple(j for j, k in enumerate(cols) if c[j].is_top and bot(k)),
+    }
+
+
+def reference_masks(a, b):
+    """``infinity_masks`` as its docstring states it, scanned entry by entry."""
+    live = [i for i in range(a.nrows) if not b[i].is_top and not any(e.is_bot for e in a[i])]
+    if any(b[i].is_bot for i in live):
+        return None
+    return live, [j for j in range(a.ncols) if not any(a[i][j].is_top for i in live)]
+
+
+def test_the_placement_logic_matches_per_entry_scans():
+    rng = random.Random(9)
+    seen = {"invalid": 0, "several": 0, "later": 0}
+    # an endpoint share of about 0.35; a few programs reach index 11, past
+    # where a set of small ints happens to iterate in ascending order
+    for size in [5] * 2000 + [12] * 100:
+        p = random_extended_program(rng, size=size, drawn=0.525)
+        for a, b, c in ((p.A, p.b, p.c), (neg_transpose(p.A), p.c, p.b)):
+            expected = reference_validity(a, b, c)
+            assert validate(ExtendedLP(a, b, c)).as_dict() == expected, (a, b, c)
+            system = {k: expected[k] for k in ("mixed_row", "mixed_col", "top_row_top_rhs", "bot_row_bot_rhs")}
+            assert farkas_module.system_preconditions(a, b) == {k: v for k, v in system.items() if v}, (a, b)
+            assert farkas_module.infinity_masks(a, b) == reference_masks(a, b), (a, b)
+            seen["invalid"] += any(expected.values())
+            seen["several"] += any(len(v) > 1 for v in expected.values())
+            seen["later"] += any(v and v[0] > 0 for v in expected.values())
+    # most programs break a condition, and many at several or later indices
+    assert seen["invalid"] > 2100 and min(seen.values()) >= 200, seen

@@ -132,6 +132,38 @@ def test_neg_transpose_shape_swap():
     assert neg_transpose(empty).shape == (2, 0)
 
 
+# --- the endpoint index ---
+
+
+def test_the_endpoint_index_matches_a_scan():
+    m = ExtMatrix([[BOT, 2, TOP], [TOP, -3, BOT]])
+    assert m.bots == ((0, 0), (1, 2)) and m.tops == ((0, 2), (1, 0))
+    rng = random.Random(7)
+    for _ in range(60):
+        nr, nc = rng.randint(0, 5), rng.randint(0, 5)
+        m = ExtMatrix([random_ext_vector(rng, nc) for _ in range(nr)], ncols=nc)
+        cells = [(i, j) for i in range(nr) for j in range(nc)]
+        assert m.bots == tuple(ij for ij in cells if m[ij[0]][ij[1]].is_bot)
+        assert m.tops == tuple(ij for ij in cells if m[ij[0]][ij[1]].is_top)
+        t = neg_transpose(m)
+        assert t.bots == tuple(sorted((j, i) for i, j in m.tops))
+        assert t.tops == tuple(sorted((j, i) for i, j in m.bots))
+
+
+def test_an_all_finite_matrix_indexes_no_endpoints():
+    for m in (ExtMatrix([[1, 2], [3, 4]]), ExtMatrix([], ncols=2)):
+        assert m.bots == () and m.tops == ()
+
+
+def test_the_endpoint_index_is_read_only():
+    m = ExtMatrix([[BOT, TOP]])
+    with pytest.raises(AttributeError):
+        m.bots = ()  # type: ignore[misc]
+    with pytest.raises(AttributeError):
+        m.tops = ()  # type: ignore[misc]
+    assert m.bots == ((0, 0),) and m.tops == ((0, 1),)
+
+
 # --- rational helpers ---
 
 
