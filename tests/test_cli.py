@@ -115,6 +115,40 @@ def test_non_utf8_input_is_a_parse_failure(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+# one text per LPFormatError branch of parse_program_text, with its exact message
+PARSE_ERRORS = [
+    pytest.param("rows 1\ncols 1\nA\n", "unexpected end of file, expected row 0 of A", id="end_of_file"),
+    pytest.param("rows 1\ncols 2\nA\n1 2 3\nb\n0\n", "line 4: expected 2 row entries, got 3", id="entry_count"),
+    pytest.param(
+        "rows 1\ncols 1\nA\nx\nb\n0\n",
+        "line 4: bad rational literal 'x': Invalid literal for Fraction: 'x'",
+        id="bad_literal",
+    ),
+    pytest.param("rows 1\ncolumns 1\n", "line 2: expected 'rows N' or 'cols N', got 'columns 1'", id="header"),
+    pytest.param("rows one\ncols 1\n", "line 1: bad count 'one'", id="bad_count"),
+    pytest.param("rows 1\ncols 0\n", "line 2: cols must be at least 1", id="count_below_one"),
+    pytest.param("rows 1\nrows 1\ncols 1\nA\n1\nb\n0\n", "line 2: duplicate rows header", id="duplicate_header"),
+    pytest.param("rows 1\ncols 1\nB\n1\nb\n0\n", "line 3: expected 'A', got 'B'", id="a_section"),
+    pytest.param("rows 1\ncols 1\nA\n1\nB\n0\n", "line 5: expected 'b', got 'B'", id="b_section"),
+    pytest.param("rows 1\ncols 1\nA\n1\nb\n0\nC\n1\n", "line 7: expected 'c', got 'C'", id="c_section"),
+    pytest.param(
+        "rows 1\ncols 1\nA\n1\nb\n0\nc\n1\n# x\nmore stuff\n",
+        "line 10: trailing content 'more stuff'",
+        id="trailing_content",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS)
+def test_each_parse_error_prints_its_message(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.lp"
+    bad.write_text(text)
+    assert main(["validate", str(bad)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_a_huge_exponent_is_refused_not_expanded(tmp_path, capsys):
     # twelve bytes that made Fraction build 10**999999999
     huge = tmp_path / "huge.lp"

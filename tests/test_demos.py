@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the checkout's package."""
+"""Every demo script runs to completion against the checkout's package and
+prints its golden output."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import golden_text
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -18,3 +21,11 @@ def test_demo_runs_cleanly(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_prints_its_golden(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == golden_text(f"demo_{demo.stem}.txt")
