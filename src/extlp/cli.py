@@ -63,23 +63,18 @@ EXIT_INTERNAL = 4
 
 def parse_program_text(text: str) -> tuple[ExtMatrix, ExtVector, ExtVector | None]:
     """Parse a program file into ``(A, b, c)``; ``c`` is None when absent."""
-    entries: list[tuple[int, str]] = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            entries.append((no, body))
-    pos = 0
-
-    def peek():
-        return entries[pos] if pos < len(entries) else None
+    bodies = ((no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1))
+    entries = ((no, body) for no, body in bodies if body)
 
     def take(what: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(entries):
+        item = next(entries, None)
+        if item is None:
             raise LPFormatError(f"unexpected end of file, expected {what}")
-        item = entries[pos]
-        pos += 1
         return item
+
+    def section(name: str, item: tuple[int, str]) -> None:
+        if item[1] != name:
+            raise LPFormatError(f"line {item[0]}: expected '{name}', got {item[1]!r}")
 
     def values(line_no: int, line: str, count: int, what: str) -> list:
         toks = line.split()
@@ -107,28 +102,17 @@ def parse_program_text(text: str) -> tuple[ExtMatrix, ExtVector, ExtVector | Non
         dims[parts[0]] = n
     rows, cols = dims["rows"], dims["cols"]
 
-    no, line = take("the 'A' section")
-    if line != "A":
-        raise LPFormatError(f"line {no}: expected 'A', got {line!r}")
-    mat = []
-    for i in range(rows):
-        no, line = take(f"row {i} of A")
-        mat.append(values(no, line, cols, "row"))
-
-    no, line = take("the 'b' section")
-    if line != "b":
-        raise LPFormatError(f"line {no}: expected 'b', got {line!r}")
-    no, line = take("the right-hand side")
-    rhs = values(no, line, rows, "right-hand side")
+    section("A", take("the 'A' section"))
+    mat = [values(*take(f"row {i} of A"), cols, "row") for i in range(rows)]
+    section("b", take("the 'b' section"))
+    rhs = values(*take("the right-hand side"), rows, "right-hand side")
 
     cost = None
-    if peek() is not None:
-        no, line = take("the 'c' section")
-        if line != "c":
-            raise LPFormatError(f"line {no}: expected 'c', got {line!r}")
-        no, line = take("the objective")
-        cost = values(no, line, cols, "objective")
-        trailing = peek()
+    item = next(entries, None)
+    if item is not None:
+        section("c", item)
+        cost = values(*take("the objective"), cols, "objective")
+        trailing = next(entries, None)
         if trailing is not None:
             raise LPFormatError(f"line {trailing[0]}: trailing content {trailing[1]!r}")
 

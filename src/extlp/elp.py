@@ -12,17 +12,17 @@ valid program or not, comes from one reduction: the infinity placements
 decide it or leave a finite program, which one two-phase simplex in
 :mod:`extlp.farkas` solves.  When the kept rows and columns of ``A``, read
 by index, show the dual's finite program to be the negated transpose of the
-primal's, as for every valid program, that solve's optimal pair ``(x, y)``,
-checked in integers on its support, or an unbounded objective decides both
-optima; only an infeasible primal needs a feasibility test of the dual.
-Otherwise each side is decided on its own.  Only ``is_unbounded`` and
+primal's, as for every valid program whose primal the placements do not
+decide, that solve's optimal pair ``(x, y)``, checked in integers on its
+support, or an unbounded objective decides both optima; only an infeasible
+primal needs a feasibility test of the dual.  Otherwise, as when the
+placements decide the primal, each side is decided on its own.  Only ``is_unbounded`` and
 ``strong_duality_check`` are stated through duality and so require validity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -33,26 +33,20 @@ from .errors import (
     TheoremViolationError,
 )
 from .extfield import BOT, TOP, ZERO, ExtValue, as_ext, as_rational
-from .extlinalg import (
-    ExtMatrix,
-    ExtVector,
-    dot_weig,
-    le_vec,
-    mul_weig,
-    neg_transpose,
-    rat_vector,
-)
+from .extlinalg import ExtMatrix, ExtVector, dot_weig, neg_transpose, rat_vector
 from .farkas import (
     BOT_ROW_BOT_RHS,
     MIXED_COL,
     MIXED_ROW,
     TOP_ROW_TOP_RHS,
+    _ints,
     _Record,
     _set,
     infinity_masks,
     solve_inequality,
     solve_program,
     system_preconditions,
+    verify_primal_ext,
 )
 
 __all__ = [
@@ -192,10 +186,7 @@ def dualize(p: ExtendedLP) -> ExtendedLP:
 
 def is_solution(p: ExtendedLP, x: Sequence) -> bool:
     """Whether finite ``x >= 0`` satisfies every constraint row."""
-    xs = rat_vector(x)
-    if any(v < 0 for v in xs):
-        return False
-    return le_vec(mul_weig(p.A, xs), p.b)
+    return verify_primal_ext(p.A, p.b, x)
 
 
 def reaches(p: ExtendedLP, x: Sequence) -> ExtValue:
@@ -259,23 +250,34 @@ def opposites_opt(p: Optimum, q: Optimum) -> bool:
     return p.value == -q.value
 
 
+def _kept(bots: Sequence, tops: Sequence, b: ExtVector, c: ExtVector, ncols: int) -> tuple[list, list, bool] | None:
+    """``(live, keep, bot_cost)``: the rows and columns a program's finite
+    residual keeps, by :func:`~extlp.farkas.infinity_masks` on the endpoint
+    index ``bots`` / ``tops`` of its matrix, and whether a cost is bot.  A
+    bot cost pins every value to bot, so every free column stays; otherwise
+    the top-cost columns must be zero and drop.  None when a live bot
+    right-hand side means top.
+    """
+    masks = infinity_masks(bots, tops, b, ncols)
+    if masks is None:
+        return None
+    live, free = masks
+    bot_cost = any(e.is_bot for e in c)
+    return live, free if bot_cost else [j for j in free if not c[j].is_top], bot_cost
+
+
 def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector) -> Optimum | tuple:
     """The optimum of ``(A, b, c)`` if the infinity placements decide it,
     else the finite residual ``(A', b', c')`` and the rows and columns of
     ``A`` it keeps.
 
-    :func:`~extlp.farkas.infinity_masks` drops the rows that always hold
-    and the columns a live top forces to zero, or finds a live bot
-    right-hand side, which means top.  A bot cost pins every value to bot,
-    so solvability decides bot or top; otherwise top-cost columns must be
-    zero.
+    :func:`_kept` finds top, or the rows and columns to keep; under a bot
+    cost, solvability of the kept system decides bot or top.
     """
-    masks = infinity_masks(a, b)
-    if masks is None:
+    kept = _kept(a.bots, a.tops, b, c, a.ncols)
+    if kept is None:
         return Optimum.of(TOP)
-    live, free = masks
-    bot_cost = any(e.is_bot for e in c)
-    keep = free if bot_cost else [j for j in free if not c[j].is_top]
+    live, keep, bot_cost = kept
     sub = [tuple(a[i][j].finite_value for j in keep) for i in live]
     rhs = [b[i].finite_value for i in live]
     if bot_cost:
@@ -290,25 +292,17 @@ def _mirror(a: list, b: list, c: list) -> tuple[list, list, list]:
 
 def _dual_mirrors(a: ExtMatrix, b: ExtVector, c: ExtVector, live: list, keep: list) -> bool:
     """Whether the dual's residual is the :func:`_mirror` of a primal one on
-    rows ``live`` and columns ``keep`` of ``A``, read off ``A`` by index.
+    rows ``live`` and columns ``keep`` of ``A``.
 
-    Unless a bot in ``b``, its cost, decides it, the dual keeps as rows the
-    columns ``j`` with ``c[j]`` not top and no top in column ``j``, and as
-    columns the rows ``i`` with finite ``b[i]`` and no bot at those ``j``.
-    The tops and bots of ``A`` come from its endpoint index.
+    The dual ``(-A^T, c, b)`` follows the primal's rules, so :func:`_kept`
+    reads its placements off ``A``'s index: the bots of ``-A^T`` are the
+    tops of ``A`` and its tops the bots of ``A``, with ``(i, j)`` read as
+    ``(j, i)``.  The residuals mirror when the dual keeps the rows ``keep``
+    and the columns ``live`` under a cost with no bot.
     """
-    top_cols = {j for _, j in a.tops}
-    cols = [j for j in range(a.ncols) if not c[j].is_top and j not in top_cols]
-    dead = {i for i, j in a.bots if not c[j].is_top and j not in top_cols}
-    return cols == keep and not any(e.is_bot for e in b) and live == [
-        i for i in range(a.nrows) if b[i].is_finite and i not in dead
-    ]
-
-
-def _ints(v) -> tuple[list[int], int]:
-    """Fractions ``v`` as integers over the lcm of their denominators."""
-    den = lcm(*(f.denominator for f in v))
-    return [f.numerator * (den // f.denominator) for f in v], den
+    dual_bots = [(j, i) for i, j in a.tops]
+    dual_tops = [(j, i) for i, j in a.bots]
+    return _kept(dual_bots, dual_tops, c, b, a.nrows) == (keep, live, False)
 
 
 def _int_dot(coefs: list, ws: list[int], dw: int) -> tuple[int, int]:
@@ -361,10 +355,11 @@ def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
     """Optima of any program and of its dual ``(-A^T, c, b)``.
 
     When the primal's residual is finite and :func:`_dual_mirrors` finds
-    the dual's to be its :func:`_mirror`, as for every valid program, one
-    :func:`_decide` settles both sides unless the primal is infeasible;
-    then one feasibility test of the mirror picks bot or top.  Otherwise
-    the dual's residual is built and decided on its own.
+    the dual's to be its :func:`_mirror`, as for every valid program with a
+    finite residual, one :func:`_decide` settles both sides unless the
+    primal is infeasible; then one feasibility test of the mirror picks
+    bot or top.  Otherwise the dual's residual is built and decided on its
+    own.
     """
     primal = _residual(p.A, p.b, p.c)
     p_opt, d_opt = _decide(primal)

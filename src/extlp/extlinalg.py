@@ -82,18 +82,9 @@ class ExtMatrix:
 
     def __init__(self, rows: Iterable, ncols: int | None = None):
         self._rows = tuple(r if isinstance(r, ExtVector) else ExtVector(r) for r in rows)
-        if self._rows:
-            widths = {len(r) for r in self._rows}
-            if len(widths) != 1:
-                raise DimensionError(f"ragged rows: widths {sorted(widths)}")
-            width = widths.pop()
-            if ncols is not None and ncols != width:
-                raise DimensionError(f"ncols {ncols} does not match row width {width}")
-            self._ncols = width
-        else:
-            if ncols is None:
-                raise DimensionError("a matrix with no rows needs an explicit ncols")
-            self._ncols = ncols
+        self._ncols = row_width(self._rows, ncols)
+        if self._ncols is None:
+            raise DimensionError("a matrix with no rows needs an explicit ncols")
         self._bots = tuple((i, j) for i, r in enumerate(self._rows) for j, e in enumerate(r) if e.is_bot)
         self._tops = tuple((i, j) for i, r in enumerate(self._rows) for j, e in enumerate(r) if e.is_top)
 
@@ -185,9 +176,33 @@ def neg_transpose(m: ExtMatrix) -> ExtMatrix:
     )
 
 
+def row_width(rows: Sequence[Sequence], ncols: int | None) -> int | None:
+    """The common width of ``rows``, which must equal ``ncols`` when that is
+    given; ``ncols`` itself when there are no rows."""
+    if not rows:
+        return ncols
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise DimensionError(f"ragged rows: widths {sorted(widths)}")
+    width = widths.pop()
+    if ncols is not None and ncols != width:
+        raise DimensionError(f"ncols {ncols} does not match row width {width}")
+    return width
+
+
 def rat_vector(xs: Iterable) -> tuple[Fraction, ...]:
     """Coerce a sequence of rational literals to a tuple of Fractions."""
     return tuple(as_rational(x) for x in xs)
+
+
+def _rational_system(a: Sequence[Sequence], b: Sequence, ncols: int | None) -> tuple[list, tuple, int]:
+    """``(A, b)`` as Fractions with their shape checked, and the width of
+    ``A``: ``ncols``, or 0 when that is None, if ``A`` has no rows."""
+    mat = [rat_vector(row) for row in a]
+    rhs = rat_vector(b)
+    if len(mat) != len(rhs):
+        raise DimensionError(f"{len(mat)} rows vs {len(rhs)} rhs entries")
+    return mat, rhs, row_width(mat, ncols) or 0
 
 
 def nonneg_vector(xs: Iterable) -> tuple[Fraction, ...]:

@@ -33,6 +33,7 @@ from .extfield import BOT, TOP, ZERO, ExtValue
 from .extlinalg import (
     ExtMatrix,
     ExtVector,
+    _rational_system,
     dot_weig,
     le_vec,
     mul_weig,
@@ -219,6 +220,12 @@ def _bland(tab: list[list[int]], basis: list[int], den: int, d: int, n: int, pha
     return den
 
 
+def _ints(v) -> tuple[list[int], int]:
+    """Fractions ``v`` as integers over the lcm of their denominators."""
+    den = lcm(*(f.denominator for f in v))
+    return [f.numerator * (den // f.denominator) for f in v], den
+
+
 def _simplex(
     a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], ncols: int, slack: bool, cost: Sequence[Fraction] | None = None
 ) -> FarkasOutcome | tuple | ExtValue:
@@ -245,7 +252,7 @@ def _simplex(
     d = len(b)
     sign = [-1 if t < 0 else 1 for t in b]
     scale = [lcm(*(row[j].denominator for row in a)) for j in range(ncols)]
-    lb = lcm(*(t.denominator for t in b))
+    bs, lb = _ints(b)
     n = ncols + d * slack
     x0 = n - ncols if cost is None else 0  # the first column of A
     tab = []
@@ -262,15 +269,14 @@ def _simplex(
         start[i] = n + k
     for i, row in enumerate(tab):
         row += [int(start[i] == n + k) for k in range(len(artificial))]
-        row.append(abs(b[i].numerator) * (lb // b[i].denominator))
+        row.append(abs(bs[i]))
     phase1 = [0] * n + [1] * len(artificial) + [0]
     for i in artificial:
         phase1 = [z - v for z, v in zip(phase1, tab[i])]
     tab.append(phase1)
     if cost is not None:
-        cs = [cj * s for cj, s in zip(cost, scale)]
-        lc = lcm(*(v.denominator for v in cs))
-        row = [v.numerator * (lc // v.denominator) for v in cs] + [0] * (d + len(artificial) + 1)
+        row, lc = _ints([cj * s for cj, s in zip(cost, scale)])
+        row += [0] * (d + len(artificial) + 1)
         for i, j in enumerate(start):
             f = row[j]
             if f:
@@ -303,28 +309,6 @@ def _simplex(
     if cost is None:
         return FarkasOutcome.primal(x)
     return tuple(x), tuple(Fraction(v, den * lc) for v in tab[d][ncols:n])
-
-
-def _rational_system(a: Sequence[Sequence], b: Sequence, ncols: int | None) -> tuple[list, tuple, int]:
-    """``(A, b)`` as Fractions with their shape checked, and the width of ``A``.
-
-    ``ncols`` is only needed when ``A`` has no rows; it defaults to 0 there.
-    """
-    mat = [rat_vector(row) for row in a]
-    rhs = rat_vector(b)
-    if len(mat) != len(rhs):
-        raise DimensionError(f"{len(mat)} rows vs {len(rhs)} rhs entries")
-    if mat:
-        widths = {len(row) for row in mat}
-        if len(widths) != 1:
-            raise DimensionError(f"ragged rows: widths {sorted(widths)}")
-        width = widths.pop()
-        if ncols is not None and ncols != width:
-            raise DimensionError(f"ncols {ncols} does not match row width {width}")
-        ncols = width
-    elif ncols is None:
-        ncols = 0
-    return mat, rhs, ncols
 
 
 def solve_equality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> FarkasOutcome:
@@ -381,22 +365,26 @@ def system_preconditions(a: ExtMatrix, b: ExtVector) -> dict[str, tuple[int, ...
     return {name: tuple(sorted(idx)) for name, idx in found if idx}
 
 
-def infinity_masks(a: ExtMatrix, b: ExtVector) -> tuple[list[int], list[int]] | None:
+def infinity_masks(bots: Sequence, tops: Sequence, b: ExtVector, ncols: int) -> tuple[list[int], list[int]] | None:
     """The rows of ``A x <= b`` that can fail and the columns left free.
+
+    ``A`` comes as its endpoint index, the ``(i, j)`` positions of its bot
+    and of its top entries in any order, and has ``len(b)`` rows and
+    ``ncols`` columns: ``A.bots`` and ``A.tops`` for a matrix, ``A``'s tops
+    and bots with each ``(i, j)`` read as ``(j, i)`` for ``-A^T``.
 
     A row holds for every ``x`` when it carries a bot in ``A`` (its value is
     pinned to bot) or has a top right-hand side; the others are live.  A top
     in a live row forces its variable to zero.  Returns the live rows and
     the columns no live top forces, or None when a live row has a bot
-    right-hand side, which no all-finite row value can meet.  The rows with
-    a bot and the tops come from the endpoint index of ``a``.
+    right-hand side, which no all-finite row value can meet.
     """
-    bot_rows = {i for i, _ in a.bots}
-    live = [i for i in range(a.nrows) if not b[i].is_top and i not in bot_rows]
+    bot_rows = {i for i, _ in bots}
+    live = [i for i in range(len(b)) if not b[i].is_top and i not in bot_rows]
     if any(b[i].is_bot for i in live):
         return None
-    forced = {j for i, j in a.tops if i not in bot_rows and not b[i].is_top}
-    return live, [j for j in range(a.ncols) if j not in forced]
+    forced = {j for i, j in tops if i not in bot_rows and not b[i].is_top}
+    return live, [j for j in range(ncols) if j not in forced]
 
 
 def solve_extended(a: ExtMatrix, b: ExtVector) -> FarkasOutcome:
@@ -426,7 +414,7 @@ def solve_extended(a: ExtMatrix, b: ExtVector) -> FarkasOutcome:
         names = ", ".join(sorted(bad))
         raise PreconditionError(f"extended system hypotheses violated: {names}", bad)
 
-    masks = infinity_masks(a, b)
+    masks = infinity_masks(a.bots, a.tops, b, a.ncols)
     if masks is None:
         return FarkasOutcome.dual((_F0,) * a.nrows)
     live, free = masks

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from .errors import GenerationBudgetError, ScaleLimitError, TheoremViolationError
 from .extfield import BOT, TOP, ExtValue
-from .extlinalg import ExtMatrix, ExtVector, rat_dot, rat_vector
+from .extlinalg import ExtMatrix, ExtVector, _rational_system, rat_dot, rat_vector
 from .elp import ExtendedLP, Optimum, ValidELP, validate
 from .farkas import _Record, _set
 
@@ -111,9 +111,7 @@ def _basic_points(a: list[tuple[Fraction, ...]], b: list[Fraction], ncols: int) 
 
 def oracle_feasible_point(a: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> tuple[Fraction, ...] | None:
     """Some point of ``{x >= 0, A x <= b}``, or None if the set is empty."""
-    mat = [rat_vector(r) for r in a]
-    rhs = list(rat_vector(b))
-    n = ncols if ncols is not None else (len(mat[0]) if mat else 0)
+    mat, rhs, n = _rational_system(a, b, ncols)
     _check_scale(len(mat), n)
     return next(_basic_points(mat, rhs, n), None)
 
@@ -124,12 +122,8 @@ def oracle_solve_finite(a: Sequence[Sequence], b: Sequence, c: Sequence) -> Orac
     The unbounded case is recognized through feasibility of the direction
     system ``{d >= 0, A d <= 0, c . d <= -1}``.
     """
-    mat = [rat_vector(r) for r in a]
-    rhs = list(rat_vector(b))
     cv = rat_vector(c)
-    ncols = len(cv)
-    if any(len(r) != ncols for r in mat):
-        raise ScaleLimitError(f"row width mismatch against {ncols} objective entries")
+    mat, rhs, ncols = _rational_system(a, b, len(cv))
     _check_scale(len(mat), ncols)
 
     points = list(_basic_points(mat, rhs, ncols))
@@ -153,10 +147,8 @@ def fm_minimum(a: Sequence[Sequence], b: Sequence, c: Sequence) -> OracleResult:
     the ``x`` coordinates and reading the greatest surviving lower bound on
     ``t``.  Value only, no argmin.
     """
-    mat = [rat_vector(r) for r in a]
-    rhs = rat_vector(b)
     cv = rat_vector(c)
-    n = len(cv)
+    mat, rhs, n = _rational_system(a, b, len(cv))
     if n > 2:
         raise ScaleLimitError(f"fourier-motzkin route capped at 2 variables, got {n}")
 

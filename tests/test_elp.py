@@ -554,9 +554,13 @@ def test_the_placement_logic_matches_per_entry_scans():
             assert validate(ExtendedLP(a, b, c)).as_dict() == expected, (a, b, c)
             system = {k: expected[k] for k in ("mixed_row", "mixed_col", "top_row_top_rhs", "bot_row_bot_rhs")}
             assert farkas_module.system_preconditions(a, b) == {k: v for k, v in system.items() if v}, (a, b)
-            assert farkas_module.infinity_masks(a, b) == reference_masks(a, b), (a, b)
+            assert farkas_module.infinity_masks(a.bots, a.tops, b, a.ncols) == reference_masks(a, b), (a, b)
             seen["invalid"] += any(expected.values())
             seen["several"] += any(len(v) > 1 for v in expected.values())
             seen["later"] += any(v and v[0] > 0 for v in expected.values())
+        # the dual's placement read off A: its tops and bots, each (i, j) as (j, i)
+        dual_bots, dual_tops = [(j, i) for i, j in p.A.tops], [(j, i) for i, j in p.A.bots]
+        swapped = farkas_module.infinity_masks(dual_bots, dual_tops, p.c, p.A.nrows)
+        assert swapped == reference_masks(neg_transpose(p.A), p.c), p
     # most programs break a condition, and many at several or later indices
     assert seen["invalid"] > 2100 and min(seen.values()) >= 200, seen

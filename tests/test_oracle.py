@@ -8,6 +8,7 @@ import pytest
 from extlp import (
     BOT,
     TOP,
+    DimensionError,
     GenConfig,
     GenerationBudgetError,
     ScaleLimitError,
@@ -79,6 +80,24 @@ def test_size_caps():
     tall = [[0]] * (MAX_ORACLE_ROWS + 1)
     with pytest.raises(ScaleLimitError):
         oracle_feasible_point(tall, [0] * (MAX_ORACLE_ROWS + 1), ncols=1)
+
+
+@pytest.mark.parametrize(
+    "solve,args",
+    [
+        pytest.param(oracle_feasible_point, ([[1, 2]], [1, 1]), id="feasible_point_long_rhs"),
+        pytest.param(oracle_feasible_point, ([[1, 2], [1]], [1, 1]), id="feasible_point_ragged"),
+        pytest.param(oracle_solve_finite, ([[1]], [1, 2], [1]), id="solve_finite_long_rhs"),
+        pytest.param(oracle_solve_finite, ([[1], [1]], [1], [1]), id="solve_finite_short_rhs"),
+        pytest.param(oracle_solve_finite, ([[1, 2], [1]], [1, 1], [1, 1]), id="solve_finite_ragged"),
+        pytest.param(fm_minimum, ([[1, 2], [1]], [1, 1], [1, 1]), id="fm_minimum_ragged"),
+        pytest.param(fm_minimum, ([[1]], [1, 2], [1]), id="fm_minimum_long_rhs"),
+        pytest.param(fm_minimum, ([[1, 2]], [1], [1]), id="fm_minimum_wide_rows"),
+    ],
+)
+def test_misshapen_systems_raise_a_dimension_error(solve, args):
+    with pytest.raises(DimensionError):
+        solve(*args)
 
 
 # --- elimination oracle against the vertex oracle ---
