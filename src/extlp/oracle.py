@@ -90,7 +90,7 @@ def _check_scale(nrows: int, ncols: int) -> None:
         )
 
 
-def _basic_points(a: list[tuple[Fraction, ...]], b: list[Fraction], ncols: int) -> Iterator[tuple[Fraction, ...]]:
+def _basic_points(a: list[tuple[Fraction, ...]], b: Sequence[Fraction], ncols: int) -> Iterator[tuple[Fraction, ...]]:
     """Feasible basic points of ``{x >= 0, A x <= b}``, deduplicated."""
     cons = [(row, rhs) for row, rhs in zip(a, b)]
     for j in range(ncols):
