@@ -16,8 +16,11 @@ primal's, as for every valid program whose primal the placements do not
 decide, that solve's optimal pair ``(x, y)``, checked in integers on its
 support, or an unbounded objective decides both optima; only an infeasible
 primal needs a feasibility test of the dual.  Otherwise, as when the
-placements decide the primal, each side is decided on its own.  Only ``is_unbounded`` and
-``strong_duality_check`` are stated through duality and so require validity.
+placements decide the primal, each side is decided on its own.  Either way
+the dual's placements, and its finite program when it is decided on its
+own, are read off ``A``'s endpoint index and entries: only :func:`dualize`
+builds ``-A^T``.  Only ``is_unbounded`` and ``strong_duality_check`` are
+stated through duality and so require validity.
 """
 
 from __future__ import annotations
@@ -101,7 +104,12 @@ class ExtendedLP(_Record):
     def __init__(self, A: ExtMatrix, b: ExtVector, c: ExtVector):
         c = c if isinstance(c, ExtVector) else ExtVector(c)
         b = b if isinstance(b, ExtVector) else ExtVector(b)
-        a = A if isinstance(A, ExtMatrix) else ExtMatrix(A, ncols=len(c))
+        if isinstance(A, ExtMatrix):
+            a = A
+        else:
+            # the width comes from the rows, so a short or long c is named below
+            rows = tuple(A)
+            a = ExtMatrix(rows, ncols=None if rows else len(c))
         if len(b) != a.nrows:
             raise DimensionError(f"b has {len(b)} entries for {a.nrows} rows")
         if len(c) != a.ncols:
@@ -250,35 +258,42 @@ def opposites_opt(p: Optimum, q: Optimum) -> bool:
     return p.value == -q.value
 
 
-def _kept(bots: Sequence, tops: Sequence, b: ExtVector, c: ExtVector, ncols: int) -> tuple[list, list, bool] | None:
+def _kept(bots: Sequence, tops: Sequence, b: ExtVector, c: ExtVector, ncols: int) -> tuple[list, list, bool] | Optimum:
     """``(live, keep, bot_cost)``: the rows and columns a program's finite
     residual keeps, by :func:`~extlp.farkas.infinity_masks` on the endpoint
     index ``bots`` / ``tops`` of its matrix, and whether a cost is bot.  A
     bot cost pins every value to bot, so every free column stays; otherwise
-    the top-cost columns must be zero and drop.  None when a live bot
-    right-hand side means top.
+    the top-cost columns must be zero and drop.  The optimum top when a live
+    bot right-hand side means top.
     """
     masks = infinity_masks(bots, tops, b, ncols)
     if masks is None:
-        return None
+        return Optimum.of(TOP)
     live, free = masks
     bot_cost = any(e.is_bot for e in c)
     return live, free if bot_cost else [j for j in free if not c[j].is_top], bot_cost
 
 
-def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector) -> Optimum | tuple:
+def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | None = None) -> Optimum | tuple:
     """The optimum of ``(A, b, c)`` if the infinity placements decide it,
     else the finite residual ``(A', b', c')`` and the rows and columns of
     ``A`` it keeps.
 
     :func:`_kept` finds top, or the rows and columns to keep; under a bot
-    cost, solvability of the kept system decides bot or top.
+    cost, solvability of the kept system decides bot or top.  Given
+    ``dual``, the :func:`_dual_kept` of ``(A, c, b)``, the program is
+    instead that dual, ``(-A^T, b, c)``: its entries are read off ``A`` as
+    ``-A[j][i]``, and its rows and columns are ``A``'s columns and rows.
     """
-    kept = _kept(a.bots, a.tops, b, c, a.ncols)
-    if kept is None:
-        return Optimum.of(TOP)
+    kept = _kept(a.bots, a.tops, b, c, a.ncols) if dual is None else dual
+    if isinstance(kept, Optimum):
+        return kept
     live, keep, bot_cost = kept
-    sub = [tuple(a[i][j].finite_value for j in keep) for i in live]
+    if dual is None:
+        sub = [tuple(a[i][j].finite_value for j in keep) for i in live]
+    else:
+        rows = [a[i] for i in keep]
+        sub = [tuple(-r[j].finite_value for r in rows) for j in live]
     rhs = [b[i].finite_value for i in live]
     if bot_cost:
         return Optimum.of(BOT if solve_inequality(sub, rhs, ncols=len(keep)).is_primal else TOP)
@@ -290,19 +305,22 @@ def _mirror(a: list, b: list, c: list) -> tuple[list, list, list]:
     return [tuple(-row[j] for row in a) for j in range(len(c))], c, b
 
 
-def _dual_mirrors(a: ExtMatrix, b: ExtVector, c: ExtVector, live: list, keep: list) -> bool:
-    """Whether the dual's residual is the :func:`_mirror` of a primal one on
-    rows ``live`` and columns ``keep`` of ``A``.
-
-    The dual ``(-A^T, c, b)`` follows the primal's rules, so :func:`_kept`
-    reads its placements off ``A``'s index: the bots of ``-A^T`` are the
+def _dual_kept(a: ExtMatrix, b: ExtVector, c: ExtVector) -> tuple | Optimum:
+    """The :func:`_kept` of the dual ``(-A^T, c, b)``, read off ``A``'s
+    index: the dual follows the primal's rules, the bots of ``-A^T`` are the
     tops of ``A`` and its tops the bots of ``A``, with ``(i, j)`` read as
-    ``(j, i)``.  The residuals mirror when the dual keeps the rows ``keep``
-    and the columns ``live`` under a cost with no bot.
+    ``(j, i)``.
     """
-    dual_bots = [(j, i) for i, j in a.tops]
-    dual_tops = [(j, i) for i, j in a.bots]
-    return _kept(dual_bots, dual_tops, c, b, a.nrows) == (keep, live, False)
+    return _kept([(j, i) for i, j in a.tops], [(j, i) for i, j in a.bots], c, b, a.nrows)
+
+
+def _dual_mirrors(dual: tuple | Optimum, live: list, keep: list) -> bool:
+    """Whether the dual's residual is the :func:`_mirror` of a primal one on
+    rows ``live`` and columns ``keep`` of ``A``, given the dual's
+    :func:`_dual_kept`: it is when the dual keeps the rows ``keep`` and the
+    columns ``live`` under a cost with no bot.
+    """
+    return dual == (keep, live, False)
 
 
 def _int_dot(coefs: list, ws: list[int], dw: int) -> tuple[int, int]:
@@ -354,20 +372,23 @@ def _decide(residual: Optimum | tuple) -> tuple[Optimum, Optimum | None]:
 def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
     """Optima of any program and of its dual ``(-A^T, c, b)``.
 
-    When the primal's residual is finite and :func:`_dual_mirrors` finds
-    the dual's to be its :func:`_mirror`, as for every valid program with a
-    finite residual, one :func:`_decide` settles both sides unless the
-    primal is infeasible; then one feasibility test of the mirror picks
-    bot or top.  Otherwise the dual's residual is built and decided on its
-    own.
+    The dual's placements come once from :func:`_dual_kept`, off ``A``'s
+    index.  When the primal's residual is finite and :func:`_dual_mirrors`
+    finds the dual's to be its :func:`_mirror`, as for every valid program
+    with a finite residual, one :func:`_decide` settles both sides unless
+    the primal is infeasible; then one feasibility test of the mirror picks
+    bot or top.  Otherwise the dual's residual is read off ``A``'s entries
+    and decided on its own.  ``-A^T`` is never built.
     """
-    primal = _residual(p.A, p.b, p.c)
+    a, b, c = p.A, p.b, p.c
+    primal = _residual(a, b, c)
+    dual = _dual_kept(a, b, c)
     p_opt, d_opt = _decide(primal)
-    if isinstance(primal, Optimum) or not _dual_mirrors(p.A, p.b, p.c, *primal[3:]):
-        return p_opt, _decide(_residual(neg_transpose(p.A), p.c, p.b))[0]
+    if isinstance(primal, Optimum) or not _dual_mirrors(dual, *primal[3:]):
+        return p_opt, _decide(_residual(a, c, b, dual))[0]
     if d_opt is None:
-        a, b, c = _mirror(*primal[:3])
-        d_opt = Optimum.of(BOT if solve_inequality(a, b, ncols=len(c)).is_primal else TOP)
+        sub, rhs, cost = _mirror(*primal[:3])
+        d_opt = Optimum.of(BOT if solve_inequality(sub, rhs, ncols=len(cost)).is_primal else TOP)
     return p_opt, d_opt
 
 

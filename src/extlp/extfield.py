@@ -74,13 +74,6 @@ class ExtValue:
         self._tag = _FIN
         self._q = as_rational(value)
 
-    @classmethod
-    def _endpoint(cls, tag: int) -> "ExtValue":
-        v = object.__new__(cls)
-        v._tag = tag
-        v._q = None
-        return v
-
     @property
     def is_bot(self) -> bool:
         return self._tag == _BOT
@@ -108,14 +101,14 @@ class ExtValue:
             return BOT
         if self._tag == _TOP or other._tag == _TOP:
             return TOP
-        return ExtValue(self._q + other._q)
+        return _ext(_FIN, self._q + other._q)
 
     def __neg__(self):
         if self._tag == _BOT:
             return TOP
         if self._tag == _TOP:
             return BOT
-        return ExtValue(-self._q)
+        return _ext(_FIN, -self._q)
 
     def __eq__(self, other):
         if not isinstance(other, ExtValue):
@@ -160,8 +153,17 @@ class ExtValue:
         return format_ext(self)
 
 
-BOT = ExtValue._endpoint(_BOT)
-TOP = ExtValue._endpoint(_TOP)
+def _ext(tag: int, q: Fraction | None) -> ExtValue:
+    """An :class:`ExtValue` on a tag and a rational (None for an endpoint)
+    that this module made already: nothing is coerced."""
+    v = object.__new__(ExtValue)
+    v._tag = tag
+    v._q = q
+    return v
+
+
+BOT = _ext(_BOT, None)
+TOP = _ext(_TOP, None)
 ZERO = ExtValue(0)
 
 
@@ -200,7 +202,7 @@ def smul_nn(scale, v: ExtValue) -> ExtValue:
         return TOP if c > 0 else ZERO
     if c == 1:
         return v
-    return ExtValue(c * v._q)
+    return _ext(_FIN, c * v._q)
 
 
 def parse_rational(token: str) -> Fraction:

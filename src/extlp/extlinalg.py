@@ -13,6 +13,7 @@ right (the sum is order-independent, which the tests check).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError
@@ -66,6 +67,13 @@ class ExtVector:
 
     def __repr__(self):
         return f"ExtVector([{', '.join(str(e) for e in self._entries)}])"
+
+
+def _vector(entries: tuple) -> ExtVector:
+    """An :class:`ExtVector` on a tuple of extended values: nothing is coerced."""
+    v = object.__new__(ExtVector)
+    v._entries = entries
+    return v
 
 
 class ExtMatrix:
@@ -139,6 +147,14 @@ class ExtMatrix:
         return f"ExtMatrix({self.nrows}x{self.ncols}: {body})"
 
 
+def _matrix(rows: tuple, ncols: int, bots: tuple, tops: tuple) -> ExtMatrix:
+    """An :class:`ExtMatrix` on :class:`ExtVector` rows of width ``ncols`` and
+    their endpoint index: nothing is coerced, checked or scanned."""
+    m = object.__new__(ExtMatrix)
+    m._rows, m._ncols, m._bots, m._tops = rows, ncols, bots, tops
+    return m
+
+
 def dot_weig(v: ExtVector | Iterable, weights: Sequence) -> ExtValue:
     """Weighted sum ``sum_i smul_nn(weights[i], v[i])``.
 
@@ -169,10 +185,19 @@ def le_vec(u: ExtVector, v: ExtVector) -> bool:
 
 
 def neg_transpose(m: ExtMatrix) -> ExtMatrix:
-    """Entrywise-negated transpose: result[j][i] = -m[i][j].  An involution."""
-    return ExtMatrix(
-        (ExtVector(-m[i][j] for i in range(m.nrows)) for j in range(m.ncols)),
-        ncols=m.nrows,
+    """Entrywise-negated transpose: result[j][i] = -m[i][j].  An involution.
+
+    Built from ``m``'s entries and index, which need no second check: the
+    result has ``m.nrows`` columns, and its endpoint index is ``m``'s, its
+    bots at ``m``'s tops and its tops at ``m``'s bots, each ``(i, j)`` read
+    as ``(j, i)`` and sorted to row-major order.
+    """
+    cols = zip(*(r._entries for r in m._rows)) if m._rows else [()] * m._ncols
+    return _matrix(
+        tuple(_vector(tuple(map(neg, col))) for col in cols),
+        len(m._rows),
+        tuple(sorted((j, i) for i, j in m._tops)),
+        tuple(sorted((j, i) for i, j in m._bots)),
     )
 
 

@@ -90,6 +90,15 @@ def test_dimension_mismatch_rejected():
         ExtendedLP([[1, 2]], [1], [1])
 
 
+def test_a_cost_of_the_wrong_length_is_named_against_a_list_of_rows():
+    for c in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(DimensionError) as err:
+            ExtendedLP([[1, 2, 3]], [1], c)
+        assert str(err.value) == f"c has {len(c)} entries for 3 columns"
+    # with no rows, the cost vector gives the width
+    assert ExtendedLP([], [], [1, 2]).shape == (0, 2)
+
+
 # --- duality as an involution ---
 
 
@@ -424,15 +433,18 @@ def test_the_index_test_takes_the_shared_path_only_on_a_mirrored_dual():
     for p in programs:
         valid = validate(p).is_valid
         primal = elp_module._residual(p.A, p.b, p.c)
+        dual_kept = elp_module._dual_kept(p.A, p.b, p.c)
+        # the dual's residual, read off A's index and entries, is the one -A^T gives
+        dual = elp_module._residual(neg_transpose(p.A), p.c, p.b)
+        assert elp_module._residual(p.A, p.c, p.b, dual_kept) == dual
         # the test optimum_pair makes before it decides the dual from the primal's mirror
-        shared = not isinstance(primal, Optimum) and elp_module._dual_mirrors(p.A, p.b, p.c, *primal[3:])
+        shared = not isinstance(primal, Optimum) and elp_module._dual_mirrors(dual_kept, *primal[3:])
         paths[valid, shared] = paths.get((valid, shared), 0) + 1
         if not shared:
             # a valid program leaves the shared path only when placements decide its primal
             assert not valid or isinstance(primal, Optimum)
             continue
         sub, rhs, cost, live, keep = primal
-        dual = elp_module._residual(neg_transpose(p.A), p.c, p.b)
         assert dual == (*elp_module._mirror(sub, rhs, cost), keep, live)
     assert len(paths) == 4 and min(paths.values()) >= 30, paths
 
@@ -448,9 +460,11 @@ def test_a_valid_finite_program_builds_no_transpose(lunch, monkeypatch):
     for p in (lunch, CHECKED):
         optimum_pair(p)
     assert calls == []
-    # a dual that is not the primal's mirror is still built from -A^T
-    optimum_pair(ExtendedLP([["bot", -2], [1, 3]], [2, -2], ["top", -3]))
-    assert calls == [(2, 2)]
+    # a dual that is not the primal's mirror is read off A too, on every path
+    rng = random.Random(5)
+    for p in [ExtendedLP([["bot", -2], [1, 3]], [2, -2], ["top", -3])] + [random_extended_program(rng) for _ in range(300)]:
+        optimum_pair(p)
+    assert calls == []
 
 
 # --- duality checks and bounds ---

@@ -111,6 +111,16 @@ def test_neg_swaps_endpoints():
     assert -finite(3) == finite(-3)
 
 
+@given(rationals, rationals)
+def test_computed_values_equal_constructed_ones(p, q):
+    # negation, sums and scaling wrap the Fraction they compute without the
+    # constructor's coercion; the results equal and hash like constructed ones
+    cases = [(-finite(p), -p), (finite(p) + finite(q), p + q), (smul_nn(abs(q), finite(p)), abs(q) * p)]
+    for got, want in cases:
+        assert got == ExtValue(want) and hash(got) == hash(ExtValue(want))
+        assert type(got.finite_value) is Fraction
+
+
 def test_neg_involution():
     for v in sample_values(50):
         assert -(-v) == v

@@ -12,6 +12,7 @@ from extlp import (
     DimensionError,
     DomainError,
     ExtMatrix,
+    ExtValue,
     ExtVector,
     dot_weig,
     finite,
@@ -51,6 +52,23 @@ def test_matrix_empty_needs_explicit_ncols():
         ExtMatrix([])
     m = ExtMatrix([], ncols=3)
     assert m.shape == (0, 3)
+
+
+def test_malformed_input_to_the_constructors_names_its_fault():
+    cases = [
+        (lambda: ExtValue(0.5), DomainError, "refusing inexact float 0.5; pass a Fraction or string"),
+        (lambda: ExtValue(True), DomainError, "not a rational: True"),
+        (lambda: ExtVector([1, 0.5]), DomainError, "refusing inexact float 0.5; pass a Fraction or string"),
+        (lambda: ExtVector([False]), DomainError, "not a rational: False"),
+        (lambda: ExtMatrix([[1.5]]), DomainError, "refusing inexact float 1.5; pass a Fraction or string"),
+        (lambda: ExtMatrix([[1, 2], [3]]), DimensionError, "ragged rows: widths [1, 2]"),
+        (lambda: ExtMatrix([[1, 2]], ncols=3), DimensionError, "ncols 3 does not match row width 2"),
+        (lambda: ExtMatrix([]), DimensionError, "a matrix with no rows needs an explicit ncols"),
+    ]
+    for build, kind, message in cases:
+        with pytest.raises(kind) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_matrix_rows_and_cols():
@@ -123,6 +141,21 @@ def test_neg_transpose_involution():
         nr, nc = rng.randint(0, 4), rng.randint(0, 4)
         m = ExtMatrix([random_ext_vector(rng, nc) for _ in range(nr)], ncols=nc)
         assert neg_transpose(neg_transpose(m)) == m
+
+
+def test_neg_transpose_equals_a_rebuild_through_the_constructor():
+    # the constructor coerces, checks the shape and scans for endpoints;
+    # neg_transpose trusts m and must build the same matrix
+    rng = random.Random(17)
+    pool = [BOT, TOP] + [finite(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(4)]
+    shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(120)]
+    for nr, nc in shapes:
+        m = ExtMatrix([[rng.choice(pool) for _ in range(nc)] for _ in range(nr)], ncols=nc)
+        t = neg_transpose(m)
+        ref = ExtMatrix([[-m[i][j] for i in range(nr)] for j in range(nc)], ncols=nr)
+        assert [r.entries for r in t] == [r.entries for r in ref]
+        assert (t.ncols, t.bots, t.tops) == (ref.ncols, ref.bots, ref.tops)
+        assert t == ref and hash(t) == hash(ref)
 
 
 def test_neg_transpose_shape_swap():
