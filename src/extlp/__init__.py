@@ -48,7 +48,6 @@ from .extlinalg import (
     le_vec,
     mul_weig,
     neg_transpose,
-    nonneg_vector,
     rat_vector,
 )
 from .farkas import (

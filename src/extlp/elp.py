@@ -8,19 +8,19 @@ be ``bot`` or ``top``.  The dual swaps the roles: ``dualize`` sends
 Validity is six index-level conditions that rule out the degenerate
 infinity placements under which duality breaks (the counterexample fixtures
 in the tests show each one failing individually).  Every optimum, of a
-valid program or not, comes from one reduction: the infinity placements
-decide it or leave a finite program, which one two-phase simplex in
-:mod:`extlp.farkas` solves.  When the kept rows and columns of ``A``, read
-by index, show the dual's finite program to be the negated transpose of the
-primal's, as for every valid program whose primal the placements do not
-decide, that solve's optimal pair ``(x, y)``, checked in integers on its
-support, or an unbounded objective decides both optima; only an infeasible
-primal needs a feasibility test of the dual.  Otherwise, as when the
-placements decide the primal, each side is decided on its own.  Either way
-the dual's placements, and its finite program when it is decided on its
-own, are read off ``A``'s endpoint index and entries: only :func:`dualize`
-builds ``-A^T``.  Only ``is_unbounded`` and ``strong_duality_check`` are
-stated through duality and so require validity.
+valid program or not, is a value and comes from one reduction: the infinity
+placements decide it or leave a finite program, which one two-phase simplex
+in :mod:`extlp.farkas` solves.  When the kept rows and columns of ``A``,
+read by index, show the dual's finite program to be the negated transpose
+of the primal's, as for every valid program whose primal the placements do
+not decide, that solve's optimal pair ``(x, y)``, checked in integers on
+its support, or an unbounded objective decides both optima; only an
+infeasible primal needs a feasibility test of the dual.  Otherwise, as when
+the placements decide the primal, each side is decided on its own.  Either
+way the dual's placements and finite program are read off ``A``'s endpoint
+index and entries: only :func:`dualize` builds ``-A^T``.  Only
+``is_unbounded`` and ``strong_duality_check`` are stated through duality
+and so require validity.
 """
 
 from __future__ import annotations
@@ -223,38 +223,21 @@ def is_unbounded(p: ExtendedLP) -> bool:
 
 
 class Optimum(_Record):
-    """The optimum of a program: a value, or absent.
-
+    """The optimum of a program, always a value, coerced by ``as_ext``:
     ``top`` encodes infeasibility, ``bot`` unboundedness, a finite value an
-    attained optimum.  ``absent`` never occurs for valid programs; it exists
-    so that the raw reference path can share the type.
-    """
+    attained optimum."""
 
     __slots__ = __match_args__ = ("value",)
 
-    def __init__(self, value: ExtValue | None):
-        _set(self, "value", value)
-
-    @classmethod
-    def of(cls, v) -> "Optimum":
-        return cls(as_ext(v))
-
-    @classmethod
-    def absent(cls) -> "Optimum":
-        return cls(None)
-
-    @property
-    def is_absent(self) -> bool:
-        return self.value is None
+    def __init__(self, value):
+        _set(self, "value", as_ext(value))
 
     def __str__(self):
-        return "absent" if self.value is None else str(self.value)
+        return str(self.value)
 
 
 def opposites_opt(p: Optimum, q: Optimum) -> bool:
-    """Both present and exactly negatives of each other (endpoints swap)."""
-    if p.is_absent or q.is_absent:
-        return False
+    """Exactly negatives of each other (endpoints swap)."""
     return p.value == -q.value
 
 
@@ -268,7 +251,7 @@ def _kept(bots: Sequence, tops: Sequence, b: ExtVector, c: ExtVector, ncols: int
     """
     masks = infinity_masks(bots, tops, b, ncols)
     if masks is None:
-        return Optimum.of(TOP)
+        return Optimum(TOP)
     live, free = masks
     bot_cost = any(e.is_bot for e in c)
     return live, free if bot_cost else [j for j in free if not c[j].is_top], bot_cost
@@ -283,7 +266,8 @@ def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | 
     cost, solvability of the kept system decides bot or top.  Given
     ``dual``, the :func:`_dual_kept` of ``(A, c, b)``, the program is
     instead that dual, ``(-A^T, b, c)``: its entries are read off ``A`` as
-    ``-A[j][i]``, and its rows and columns are ``A``'s columns and rows.
+    ``-A[j][i]``, its rows and columns are ``A``'s columns and rows, and on
+    the columns and rows of a primal residual it is ``(-A'^T, c', b')``.
     """
     kept = _kept(a.bots, a.tops, b, c, a.ncols) if dual is None else dual
     if isinstance(kept, Optimum):
@@ -296,13 +280,8 @@ def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | 
         sub = [tuple(-r[j].finite_value for r in rows) for j in live]
     rhs = [b[i].finite_value for i in live]
     if bot_cost:
-        return Optimum.of(BOT if solve_inequality(sub, rhs, ncols=len(keep)).is_primal else TOP)
+        return Optimum(BOT if solve_inequality(sub, rhs, ncols=len(keep)).is_primal else TOP)
     return sub, rhs, [c[j].finite_value for j in keep], live, keep
-
-
-def _mirror(a: list, b: list, c: list) -> tuple[list, list, list]:
-    """The dual ``(-A^T, c, b)`` of a finite residual."""
-    return [tuple(-row[j] for row in a) for j in range(len(c))], c, b
 
 
 def _dual_kept(a: ExtMatrix, b: ExtVector, c: ExtVector) -> tuple | Optimum:
@@ -312,15 +291,6 @@ def _dual_kept(a: ExtMatrix, b: ExtVector, c: ExtVector) -> tuple | Optimum:
     ``(j, i)``.
     """
     return _kept([(j, i) for i, j in a.tops], [(j, i) for i, j in a.bots], c, b, a.nrows)
-
-
-def _dual_mirrors(dual: tuple | Optimum, live: list, keep: list) -> bool:
-    """Whether the dual's residual is the :func:`_mirror` of a primal one on
-    rows ``live`` and columns ``keep`` of ``A``, given the dual's
-    :func:`_dual_kept`: it is when the dual keeps the rows ``keep`` and the
-    columns ``live`` under a cost with no bot.
-    """
-    return dual == (keep, live, False)
 
 
 def _int_dot(coefs: list, ws: list[int], dw: int) -> tuple[int, int]:
@@ -352,43 +322,43 @@ def _check_pair(a: list, b: list, c: list, x: tuple, y: tuple) -> Fraction:
 
 
 def _decide(residual: Optimum | tuple) -> tuple[Optimum, Optimum | None]:
-    """The optimum of one side and, when the same solve settles it, of the
-    residual's :func:`_mirror`: one two-phase solve gives ``(v, -v)``,
-    checked by :func:`_check_pair`, or ``(bot, top)``; an infeasible primal,
-    or one the placements decide, leaves the dual open (None).
+    """The optimum of one side and, when the same solve settles it, of its
+    dual ``(-A'^T, c', b')``: one solve gives ``(v, -v)``, checked by
+    :func:`_check_pair`, or ``(bot, top)``; an infeasible primal, or one the
+    placements decide, leaves the dual open (None).
     """
     if isinstance(residual, Optimum):
         return residual, None
     a, b, c = residual[:3]
     out = solve_program(a, b, c)
     if out is TOP:
-        return Optimum.of(TOP), None
+        return Optimum(TOP), None
     if out is BOT:
-        return Optimum.of(BOT), Optimum.of(TOP)
+        return Optimum(BOT), Optimum(TOP)
     value = _check_pair(a, b, c, *out)
-    return Optimum.of(value), Optimum.of(-value)
+    return Optimum(value), Optimum(-value)
 
 
 def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
     """Optima of any program and of its dual ``(-A^T, c, b)``.
 
     The dual's placements come once from :func:`_dual_kept`, off ``A``'s
-    index.  When the primal's residual is finite and :func:`_dual_mirrors`
-    finds the dual's to be its :func:`_mirror`, as for every valid program
-    with a finite residual, one :func:`_decide` settles both sides unless
-    the primal is infeasible; then one feasibility test of the mirror picks
-    bot or top.  Otherwise the dual's residual is read off ``A``'s entries
-    and decided on its own.  ``-A^T`` is never built.
+    index.  When the dual keeps the columns and rows of a finite primal
+    residual under a cost with no bot, as for every valid program with one,
+    one :func:`_decide` settles both sides unless the primal is infeasible;
+    then one feasibility test of the dual's residual picks bot or top.
+    Otherwise the dual's residual is decided on its own.  :func:`_residual`
+    reads it off ``A``'s entries: ``-A^T`` is never built.
     """
     a, b, c = p.A, p.b, p.c
     primal = _residual(a, b, c)
     dual = _dual_kept(a, b, c)
     p_opt, d_opt = _decide(primal)
-    if isinstance(primal, Optimum) or not _dual_mirrors(dual, *primal[3:]):
+    if isinstance(primal, Optimum) or dual != (primal[4], primal[3], False):
         return p_opt, _decide(_residual(a, c, b, dual))[0]
     if d_opt is None:
-        sub, rhs, cost = _mirror(*primal[:3])
-        d_opt = Optimum.of(BOT if solve_inequality(sub, rhs, ncols=len(cost)).is_primal else TOP)
+        sub, rhs, cost = _residual(a, c, b, dual)[:3]
+        d_opt = Optimum(BOT if solve_inequality(sub, rhs, ncols=len(cost)).is_primal else TOP)
     return p_opt, d_opt
 
 
@@ -396,7 +366,7 @@ def optimum(p: ExtendedLP) -> Optimum:
     """The exact optimum of any program, valid or not.
 
     top when infeasible, bot when feasible with no finite lower bound,
-    otherwise an attained finite value.  Never absent.
+    otherwise an attained finite value.
     """
     return _decide(_residual(p.A, p.b, p.c))[0]
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import neg
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 from .extfield import ZERO, ExtValue, as_ext, as_rational, smul_nn
 
 __all__ = [
@@ -27,11 +27,9 @@ __all__ = [
     "le_vec",
     "neg_transpose",
     "rat_vector",
-    "nonneg_vector",
     "rat_dot",
     "rat_mat_vec",
     "rat_transpose",
-    "rat_identity",
     "scatter",
 ]
 
@@ -119,11 +117,6 @@ class ExtMatrix:
     @property
     def tops(self) -> tuple[tuple[int, int], ...]:
         return self._tops
-
-    def col(self, j: int) -> ExtVector:
-        if not 0 <= j < self._ncols:
-            raise IndexError(j)
-        return ExtVector(r[j] for r in self._rows)
 
     def __len__(self):
         return len(self._rows)
@@ -230,15 +223,6 @@ def _rational_system(a: Sequence[Sequence], b: Sequence, ncols: int | None) -> t
     return mat, rhs, row_width(mat, ncols) or 0
 
 
-def nonneg_vector(xs: Iterable) -> tuple[Fraction, ...]:
-    """Like :func:`rat_vector` but rejects negative entries."""
-    v = rat_vector(xs)
-    for i, x in enumerate(v):
-        if x < 0:
-            raise DomainError(f"entry {i} is negative: {x}")
-    return v
-
-
 def rat_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise DimensionError(f"rat_dot: {len(u)} vs {len(v)}")
@@ -255,11 +239,6 @@ def rat_transpose(a: Sequence[Sequence[Fraction]], ncols: int | None = None) -> 
             raise DimensionError("transposing an empty matrix needs ncols")
         return tuple(() for _ in range(ncols))
     return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
-
-
-def rat_identity(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def scatter(values: Sequence[Fraction], positions: Sequence[int], size: int) -> tuple[Fraction, ...]:

@@ -37,7 +37,6 @@ from .extlinalg import (
     dot_weig,
     le_vec,
     mul_weig,
-    neg_transpose,
     rat_dot,
     rat_mat_vec,
     rat_transpose,
@@ -455,6 +454,8 @@ def verify_dual_ineq(a: Sequence[Sequence], b: Sequence, y: Sequence) -> bool:
 
 def verify_primal_ext(a: ExtMatrix, b: ExtVector, x: Sequence) -> bool:
     """Finite ``x >= 0`` with ``mul_weig(A, x) <= b``."""
+    if a.nrows != len(b):
+        raise DimensionError(f"{a.nrows} rows vs {len(b)} rhs entries")
     xs = rat_vector(x)
     if any(v < 0 for v in xs):
         return False
@@ -462,14 +463,15 @@ def verify_primal_ext(a: ExtMatrix, b: ExtVector, x: Sequence) -> bool:
 
 
 def verify_dual_ext(a: ExtMatrix, b: ExtVector, y: Sequence) -> bool:
-    """Finite ``y >= 0`` with ``mul_weig(-A^T, y) <= 0`` and ``dot_weig(b, y) < 0``."""
+    """Finite ``y >= 0`` with ``mul_weig(-A^T, y) <= 0`` and ``dot_weig(b, y) < 0``;
+    each column of ``-A^T`` is read off ``A``'s rows."""
+    if a.nrows != len(b):
+        raise DimensionError(f"{a.nrows} rows vs {len(b)} rhs entries")
     ys = rat_vector(y)
     if any(v < 0 for v in ys):
         return False
-    zero = ExtVector([ZERO] * a.ncols)
-    if not le_vec(mul_weig(neg_transpose(a), ys), zero):
-        return False
-    return dot_weig(b, ys) < ZERO
+    cols = (dot_weig([-row[j] for row in a], ys) for j in range(a.ncols))
+    return all(v <= ZERO for v in cols) and dot_weig(b, ys) < ZERO
 
 
 def dual_infeasibility_search(a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:

@@ -214,7 +214,7 @@ def oracle_solve_extended(p: ExtendedLP) -> Optimum:
         if not b[i].is_top and not any(e.is_bot for e in a[i])
     ]
     if any(b[i].is_bot for i in live):
-        return Optimum.of(TOP)
+        return Optimum(TOP)
     forced = {j for j in range(a.ncols) if any(a[i][j].is_top for i in live)}
     free = [j for j in range(a.ncols) if j not in forced]
     rhs = [b[i].finite_value for i in live]
@@ -222,16 +222,16 @@ def oracle_solve_extended(p: ExtendedLP) -> Optimum:
     if any(e.is_bot for e in c):
         sub = [[a[i][j].finite_value for j in free] for i in live]
         solvable = oracle_feasible_point(sub, rhs, ncols=len(free)) is not None
-        return Optimum.of(BOT) if solvable else Optimum.of(TOP)
+        return Optimum(BOT if solvable else TOP)
 
     keep = [j for j in free if not c[j].is_top]
     sub = [[a[i][j].finite_value for j in keep] for i in live]
     res = oracle_solve_finite(sub, rhs, [c[j].finite_value for j in keep])
     if res.status == INFEASIBLE:
-        return Optimum.of(TOP)
+        return Optimum(TOP)
     if res.status == UNBOUNDED:
-        return Optimum.of(BOT)
-    return Optimum.of(ExtValue(res.value))
+        return Optimum(BOT)
+    return Optimum(res.value)
 
 
 class GenConfig(_Record):

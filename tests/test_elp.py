@@ -11,6 +11,7 @@ from extlp import (
     CONDITIONS,
     DUAL_CONDITION_SWAP,
     DimensionError,
+    DomainError,
     ExtendedLP,
     GenConfig,
     InvalidProgramError,
@@ -246,7 +247,7 @@ def test_optimum_pair_on_generated_programs():
         checked += 1
         assert strong_duality_check(p)
         p_opt, d_opt = optimum_pair(p)
-        assert not p_opt.is_absent and not d_opt.is_absent
+        assert p_opt.value is not None and d_opt.value is not None
         assert opposites_opt(p_opt, d_opt)
     assert checked >= 20
 
@@ -368,6 +369,12 @@ def test_the_check_rejects_a_bad_witness(x, y, message, monkeypatch):
         optimum_pair(CHECKED)
 
 
+def mirror(a: list, b: list, c: list) -> tuple[list, list, list]:
+    """The dual ``(-A^T, c, b)`` of a finite residual, the reference for the
+    dual's residual that ``_residual`` reads off ``A``."""
+    return [tuple(-row[j] for row in a) for j in range(len(c))], c, b
+
+
 def check_stage(a, b, c, x, y) -> str | None:
     """The first part of ``_check_pair`` that fails, None when it passes."""
     try:
@@ -401,7 +408,7 @@ def test_the_integer_check_agrees_with_verify_primal_ineq():
             x, y = perturb(x), perturb(y)
         if not verify_primal_ineq(a, b, x):
             expected = "primal"
-        elif not verify_primal_ineq(*elp_module._mirror(a, b, c)[:2], y):
+        elif not verify_primal_ineq(*mirror(a, b, c)[:2], y):
             expected = "dual"
         else:
             expected = "value" if rat_dot(c, x) + rat_dot(b, y) else None
@@ -438,14 +445,14 @@ def test_the_index_test_takes_the_shared_path_only_on_a_mirrored_dual():
         dual = elp_module._residual(neg_transpose(p.A), p.c, p.b)
         assert elp_module._residual(p.A, p.c, p.b, dual_kept) == dual
         # the test optimum_pair makes before it decides the dual from the primal's mirror
-        shared = not isinstance(primal, Optimum) and elp_module._dual_mirrors(dual_kept, *primal[3:])
+        shared = not isinstance(primal, Optimum) and dual_kept == (primal[4], primal[3], False)
         paths[valid, shared] = paths.get((valid, shared), 0) + 1
         if not shared:
             # a valid program leaves the shared path only when placements decide its primal
             assert not valid or isinstance(primal, Optimum)
             continue
         sub, rhs, cost, live, keep = primal
-        assert dual == (*elp_module._mirror(sub, rhs, cost), keep, live)
+        assert dual == (*mirror(sub, rhs, cost), keep, live)
     assert len(paths) == 4 and min(paths.values()) >= 30, paths
 
 
@@ -517,11 +524,21 @@ def test_is_bounded_by(lunch):
 
 
 def test_optimum_tokens():
-    assert str(Optimum.of(finite(3))) == "3"
-    assert str(Optimum.of(BOT)) == "bot"
-    assert str(Optimum.absent()) == "absent"
-    assert Optimum.absent().is_absent
-    assert not opposites_opt(Optimum.absent(), Optimum.of(finite(0)))
+    assert str(Optimum(finite(3))) == "3"
+    assert str(Optimum(BOT)) == "bot"
+
+
+def test_an_optimum_is_never_none():
+    with pytest.raises(DomainError):
+        Optimum(None)
+
+
+def test_an_optimum_coerces_its_value():
+    assert Optimum("3/4") == Optimum(Fraction(3, 4)) == Optimum(finite(Fraction(3, 4)))
+    assert hash(Optimum("3/4")) == hash(Optimum(Fraction(3, 4)))
+    assert Optimum("top").value == TOP
+    assert opposites_opt(Optimum(BOT), Optimum(TOP)) and opposites_opt(Optimum(0), Optimum(0))
+    assert not opposites_opt(Optimum(1), Optimum(1))
 
 
 # --- the placement logic against per-entry scans ---

@@ -8,6 +8,7 @@ import pytest
 from extlp import (
     BOT,
     TOP,
+    ZERO,
     DimensionError,
     ExtMatrix,
     ExtVector,
@@ -25,7 +26,9 @@ from extlp import (
     verify_primal_ext,
     verify_primal_ineq,
 )
-from extlp.extlinalg import rat_identity, rat_transpose, rat_vector
+from extlp import extlinalg as extlinalg_module
+from extlp import farkas as farkas_module
+from extlp.extlinalg import dot_weig, le_vec, mul_weig, neg_transpose, rat_transpose, rat_vector
 from extlp.farkas import _bartl, solve_program
 from extlp.oracle import oracle_feasible_point
 
@@ -289,6 +292,63 @@ def test_extended_random_systems_verify():
             assert verify_dual_ext(a, b, out.y)
 
 
+def test_the_extended_verifiers_check_the_shape_first():
+    # a negative witness on a misshapen system is a shape error, as in solve_extended
+    for verify, a, w in ((verify_primal_ext, [[1]], [-1]), (verify_dual_ext, [[-1]], [1])):
+        with pytest.raises(DimensionError) as err:
+            verify(ExtMatrix(a), ExtVector([1, 2]), w)
+        assert str(err.value) == "1 rows vs 2 rhs entries"
+
+
+def test_verify_dual_ext_builds_no_transpose(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return neg_transpose(m)
+
+    for module in (extlinalg_module, farkas_module):
+        monkeypatch.setattr(module, "neg_transpose", counted, raising=False)
+    a, b = ext_system([["bot"], [0]], [0, -1])
+    assert verify_dual_ext(a, b, (0, 1)) and not verify_dual_ext(a, b, (1, 0))
+    a, b = ext_system([[-1, "top"]], ["bot"])
+    assert verify_dual_ext(a, b, (0,)) and not verify_dual_ext(a, b, (1,))
+    assert calls == []
+
+
+def transpose_verify_dual_ext(a, b, y) -> bool:
+    """``verify_dual_ext`` as it read through ``neg_transpose``, the reference."""
+    ys = rat_vector(y)
+    if any(v < 0 for v in ys):
+        return False
+    if not le_vec(mul_weig(neg_transpose(a), ys), ExtVector([ZERO] * a.ncols)):
+        return False
+    return dot_weig(b, ys) < ZERO
+
+
+def test_verify_dual_ext_agrees_with_the_transpose_formula():
+    rng = random.Random(4000)
+    pool = [BOT, TOP, Fraction(1, 2)] + [Fraction(k) for k in range(-3, 4)]
+    weights = [Fraction(0)] * 3 + [Fraction(1), Fraction(2), Fraction(1, 3)]
+    seen = {}
+    for _ in range(4000):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        a = ExtMatrix([[rng.choice(pool) for _ in range(n)] for _ in range(m)], ncols=n)
+        b = ExtVector([rng.choice(pool) for _ in range(m)])
+        size = m if rng.random() < 0.8 else rng.choice([k for k in range(6) if k != m])
+        y = [rng.choice(weights) if rng.random() < 0.95 else Fraction(-1) for _ in range(size)]
+        try:
+            expected = transpose_verify_dual_ext(a, b, y)
+        except DimensionError:
+            with pytest.raises(DimensionError):
+                verify_dual_ext(a, b, y)
+            expected = "raised"
+        else:
+            assert verify_dual_ext(a, b, y) is expected, (a, b, y)
+        seen[expected] = seen.get(expected, 0) + 1
+    assert min(seen.values()) >= 200, seen
+
+
 # --- the simplex against the recursive reference ---
 
 
@@ -311,7 +371,8 @@ def assert_matches_reference(a, b, n):
     assert eq.is_primal == _bartl(cols, rhs).is_primal
     assert verify_primal_eq(a, b, eq.x) if eq.is_primal else verify_dual_eq(a, b, eq.y)
     ineq = solve_inequality(a, b, ncols=n)
-    assert ineq.is_primal == _bartl(rat_identity(len(a)) + cols, rhs).is_primal
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(len(a))) for i in range(len(a)))
+    assert ineq.is_primal == _bartl(identity + cols, rhs).is_primal
     assert verify_primal_ineq(a, b, ineq.x) if ineq.is_primal else verify_dual_ineq(a, b, ineq.y)
     return eq.is_primal, ineq.is_primal
 

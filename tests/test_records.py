@@ -37,9 +37,9 @@ RECORDS = [
         "top_row_top_rhs=(), bot_col_top_cost=())",
     ),
     (
-        Optimum.of(Fraction(-3, 4)),
-        Optimum(value=Optimum.of("-3/4").value),
-        Optimum.absent(),
+        Optimum(Fraction(-3, 4)),
+        Optimum(value=Optimum("-3/4").value),
+        Optimum("3/4"),
         "Optimum(value=ExtValue('-3/4'))",
     ),
     (
@@ -97,7 +97,7 @@ def test_equality_holds_only_within_one_class():
     assert plain != valid and valid != plain
     assert not plain == valid
     assert plain == ExtendedLP(valid.A, valid.b, valid.c)
-    assert Optimum.of(1) != OracleResult(OPTIMAL, value=Fraction(1))
+    assert Optimum(1) != OracleResult(OPTIMAL, value=Fraction(1))
 
 
 def test_defaults_and_properties():
@@ -105,8 +105,7 @@ def test_defaults_and_properties():
     cfg = GenConfig(rows=3, cols=2)
     assert (cfg.magnitude, cfg.infinity_prob, cfg.seed, cfg.max_attempts) == (3, 0.25, 0, 10000)
     assert ExtendedLP([[1, 2]], [3], [0, 1]).shape == (1, 2)
-    assert Optimum.absent().is_absent and str(Optimum.absent()) == "absent"
-    assert str(Optimum.of(BOT)) == "bot"
+    assert str(Optimum(BOT)) == "bot"
     out = FarkasOutcome.dual([Fraction(1)])
     assert out.is_dual and not out.is_primal
     report = RECORDS[2][0]
