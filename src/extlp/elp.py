@@ -26,7 +26,7 @@ and so require validity.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -42,7 +42,6 @@ from .farkas import (
     MIXED_COL,
     MIXED_ROW,
     TOP_ROW_TOP_RHS,
-    _ints,
     _Record,
     _set,
     infinity_masks,
@@ -273,15 +272,18 @@ def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | 
     if isinstance(kept, Optimum):
         return kept
     live, keep, bot_cost = kept
+    # the masks keep finite entries only, so each rational is read unchecked
     if dual is None:
-        sub = [tuple(a[i][j].finite_value for j in keep) for i in live]
+        rows = [a.rows[i].entries for i in live]
+        sub = [tuple([r[j]._q for j in keep]) for r in rows]
     else:
-        rows = [a[i] for i in keep]
-        sub = [tuple(-r[j].finite_value for r in rows) for j in live]
-    rhs = [b[i].finite_value for i in live]
+        rows = [a.rows[i].entries for i in keep]
+        sub = [tuple([-r[j]._q for r in rows]) for j in live]
+    b, c = b.entries, c.entries
+    rhs = [b[i]._q for i in live]
     if bot_cost:
         return Optimum(BOT if solve_inequality(sub, rhs, ncols=len(keep)).is_primal else TOP)
-    return sub, rhs, [c[j].finite_value for j in keep], live, keep
+    return sub, rhs, [c[j]._q for j in keep], live, keep
 
 
 def _dual_kept(a: ExtMatrix, b: ExtVector, c: ExtVector) -> tuple | Optimum:
@@ -293,32 +295,41 @@ def _dual_kept(a: ExtMatrix, b: ExtVector, c: ExtVector) -> tuple | Optimum:
     return _kept([(j, i) for i, j in a.tops], [(j, i) for i, j in a.bots], c, b, a.nrows)
 
 
-def _int_dot(coefs: list, ws: list[int], dw: int) -> tuple[int, int]:
-    """``coefs . ws / dw`` for Fractions ``coefs`` as a numerator and a denominator."""
-    nums, den = _ints(coefs)
-    return sum(map(mul, nums, ws)), den * dw
+def _combine(vectors: list, weights: list[int], size: int) -> tuple[list[int], int]:
+    """``sum_k weights[k] * vectors[k]`` for Fraction vectors of length
+    ``size``, as integer numerators over the lcm of their denominators."""
+    ratios = [[v.as_integer_ratio() for v in vec] for vec in vectors]
+    den = lcm(*[q for vec in ratios for _, q in vec])
+    ints = [[p * (den // q) * w for p, q in vec] for vec, w in zip(ratios, weights)]
+    return [sum(col) for col in zip(*ints)] or [0] * size, den
 
 
 def _check_pair(a: list, b: list, c: list, x: tuple, y: tuple) -> Fraction:
-    """``c . x`` once ``x >= 0``, ``A x <= b``, ``y >= 0``, ``-A^T y <= c``
-    and ``c . x + b . y == 0`` hold, else TheoremViolationError.  Sums run
-    over the support of ``x`` or ``y`` and compare ints, cleared of
-    denominators per vector and per row or column; of the solve, only the
-    returned pair goes in."""
-    (xs, dx), (ys, dy) = _ints(x), _ints(y)
+    """``c . x`` for the integer pair ``x = (xs, dx)``, ``y = (ys, dy)``, read
+    as ``xs / dx`` and ``ys / dy``, once both have the program's shape and a
+    positive denominator and ``x >= 0``, ``A x <= b``, ``y >= 0``, ``-A^T y <= c``
+    and ``c . x + b . y == 0`` hold, else TheoremViolationError.  The columns
+    of ``(A; c)`` on the support of ``x`` and the rows of ``(A | b)`` on that of
+    ``y`` are cleared of denominators, and only ints are compared; of the
+    solve, only the returned pair goes in."""
+    (xs, dx), (ys, dy) = x, y
+    if not (dx > 0 and dy > 0 and len(xs) == len(c) and len(ys) == len(b)):
+        raise TheoremViolationError("two-phase solve returned a pair of the wrong shape or denominator")
     sx = [j for j, v in enumerate(xs) if v]
     sy = [i for i, v in enumerate(ys) if v]
-    xw, yw = [xs[j] for j in sx], [ys[i] for i in sy]
-    rows = (_int_dot([row[j] for j in sx], xw, dx) for row in a)
-    if min(xs, default=0) < 0 or any(s * t.denominator > t.numerator * d for (s, d), t in zip(rows, b)):
+    ax, lx = _combine([[row[j] for row in a] + [c[j]] for j in sx], [xs[j] for j in sx], len(b) + 1)
+    lx *= dx
+    rows = (s * q > p * lx for s, (p, q) in zip(ax, [t.as_integer_ratio() for t in b]))
+    if min(xs, default=0) < 0 or any(rows):
         raise TheoremViolationError("two-phase solve returned an infeasible primal optimum")
-    cols = (_int_dot([a[i][j] for i in sy], yw, dy) for j in range(len(c)))
-    if min(ys, default=0) < 0 or any(-s * t.denominator > t.numerator * d for (s, d), t in zip(cols, c)):
+    ay, ly = _combine([list(a[i]) + [b[i]] for i in sy], [ys[i] for i in sy], len(c) + 1)
+    ly *= dy
+    cols = (-s * q > p * ly for s, (p, q) in zip(ay, [t.as_integer_ratio() for t in c]))
+    if min(ys, default=0) < 0 or any(cols):
         raise TheoremViolationError("two-phase solve returned an infeasible dual optimum")
-    (sc, dc), (sb, db) = _int_dot([c[j] for j in sx], xw, dx), _int_dot([b[i] for i in sy], yw, dy)
-    if sc * db + sb * dc:
-        raise TheoremViolationError(f"optimum pair has value sum {Fraction(sc, dc) + Fraction(sb, db)}, expected 0")
-    return Fraction(sc, dc)
+    if ax[-1] * ly + ay[-1] * lx:
+        raise TheoremViolationError(f"optimum pair has value sum {Fraction(ax[-1], lx) + Fraction(ay[-1], ly)}, expected 0")
+    return Fraction(ax[-1], lx)
 
 
 def _decide(residual: Optimum | tuple) -> tuple[Optimum, Optimum | None]:

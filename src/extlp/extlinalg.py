@@ -13,7 +13,6 @@ right (the sum is order-independent, which the tests check).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import neg
 from typing import Iterable, Sequence
 
 from .errors import DimensionError
@@ -187,7 +186,7 @@ def neg_transpose(m: ExtMatrix) -> ExtMatrix:
     """
     cols = zip(*(r._entries for r in m._rows)) if m._rows else [()] * m._ncols
     return _matrix(
-        tuple(_vector(tuple(map(neg, col))) for col in cols),
+        tuple(_vector(tuple([-e for e in col])) for col in cols),
         len(m._rows),
         tuple(sorted((j, i) for i, j in m._tops)),
         tuple(sorted((j, i) for i, j in m._bots)),

@@ -16,16 +16,18 @@ program: fraction-free integer pivoting (Bareiss 1968) under Bland's
 anti-cycling rule (Bland 1977).  Phase 1 alone serves :func:`solve_equality`
 and :func:`solve_inequality`, reading ``x`` off the final basis and ``y``
 off the phase-1 duals; given a cost row, phase 2 follows and
-:func:`solve_program` gets an optimal pair.  The extended solver reduces to
-:func:`solve_inequality`.  :func:`farkas_bartl`, the paper's constructive
-Farkas-Bartl proof, is exponential in the worst case and is kept as the
-reference the simplex is checked against.
+:func:`solve_program` gets an optimal pair.  The rationals are read once,
+into the tableau, and that pair leaves it as integer numerators over one
+denominator per side, with no Fraction per entry.  The extended solver
+reduces to :func:`solve_inequality`.  :func:`farkas_bartl`, the paper's
+constructive Farkas-Bartl proof, is exponential in the worst case and is
+kept as the reference the simplex is checked against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionError, PreconditionError, TheoremViolationError
@@ -197,8 +199,11 @@ def _bland(tab: list[list[int]], basis: list[int], den: int, d: int, n: int, pha
     Returns the last ``den``, or None when the objective is unbounded.
     """
     while not phase1 or tab[d][-1]:
-        k = next((j for j in range(n) if tab[d][j] < 0), None)
-        if k is None:
+        z = tab[d]
+        for k in range(n):
+            if z[k] < 0:
+                break
+        else:
             break
         r = None
         for i in range(d):
@@ -211,18 +216,14 @@ def _bland(tab: list[list[int]], basis: list[int], den: int, d: int, n: int, pha
         for i, row in enumerate(tab):
             if i != r:
                 f = row[k]
-                if f:
+                if f and den == 1:
+                    tab[i] = [v * p - f * w for v, w in zip(row, prow)]
+                elif f:
                     tab[i] = [(v * p - f * w) // den for v, w in zip(row, prow)]
                 elif p != den:
                     tab[i] = [v * p // den for v in row]
         den, basis[r] = p, k
     return den
-
-
-def _ints(v) -> tuple[list[int], int]:
-    """Fractions ``v`` as integers over the lcm of their denominators."""
-    den = lcm(*(f.denominator for f in v))
-    return [f.numerator * (den // f.denominator) for f in v], den
 
 
 def _simplex(
@@ -231,51 +232,60 @@ def _simplex(
     """Decide ``A x == b`` over ``x >= 0`` (``A x <= b`` with ``slack``) by
     one exact simplex; with ``cost`` (and ``slack``) minimize ``cost . x``.
 
-    Rows with a negative right-hand side are negated, column ``j`` of ``A``
-    is scaled to integers by the lcm ``scale[j]`` of its denominators and
-    ``b`` by the lcm ``lb`` of its own.  The slack block comes first without
-    ``cost``, else last, where Bland's rule tries ``A`` first.  Each row
-    starts with its first unit column in the basis, or an artificial, and
-    phase 1 minimizes their sum.  ``tab`` holds integers over one positive
-    common denominator ``den``: the rows, the phase-1 reduced costs, whose
-    right-hand side is ``-den`` times the objective, and the cost.
+    One integer pass reads each entry's numerator and denominator once:
+    column ``j`` of ``A`` is scaled by the lcm ``scale[j]`` of its
+    denominators, ``b`` by ``lb`` and ``cost * scale`` by ``lc``, and rows
+    with a negative right-hand side are negated.  The slack block comes
+    first without ``cost``, else last, where Bland's rule tries ``A`` first.
+    Each row starts on its first unit column in that order (its slack when
+    ``b[i] >= 0``), or an artificial, and phase 1 minimizes their sum.
+    ``tab`` holds integers over one positive common denominator ``den``: the
+    rows, the phase-1 reduced costs, whose right-hand side is ``-den`` times
+    the objective, and the cost.
 
     Without ``cost``: ``x`` from the basic rows at objective zero, else
     ``y = -pi`` with the row signs undone, where the phase-1 duals ``pi``
     are ``-z/den`` for a unit start column with reduced cost ``z`` and
     ``1 - z/den`` for an artificial.  With ``cost``: top at a positive
     objective; a basic artificial, at level zero, leaves for its row's
-    slack, whose column is its negative, by negating the row; then phase 2
-    gives bot or ``(x, y)``, ``y`` the slacks' reduced costs.
+    slack, whose column is its negative, by negating the row, and the
+    artificial columns drop; phase 2 gives bot or ``((xs, den * lb), (ys,
+    den * lc))``, with ``ys`` the slacks' reduced costs.
     """
     d = len(b)
-    sign = [-1 if t < 0 else 1 for t in b]
-    scale = [lcm(*(row[j].denominator for row in a)) for j in range(ncols)]
-    bs, lb = _ints(b)
+    ratios = [[v.as_integer_ratio() for v in row] for row in a]
+    scale = [lcm(*[q for _, q in col]) for col in zip(*ratios)] if d else [1] * ncols
+    rhs = [t.as_integer_ratio() for t in b]
+    lb = lcm(*[q for _, q in rhs])
+    sign = [-1 if t < 0 else 1 for t, _ in rhs]
+    body = [[p * (s // q) for (p, q), s in zip(row, scale)] for row in ratios]
+    body = [[-v for v in row] if sg < 0 else row for row, sg in zip(body, sign)]
     n = ncols + d * slack
     x0 = n - ncols if cost is None else 0  # the first column of A
+    units = {}
+    for j, col in enumerate(zip(*body)):
+        if col.count(0) == d - 1 and 1 in col:
+            units.setdefault(col.index(1), x0 + j)
+    start = [units.get(i) for i in range(d)]
+    for i, sg in enumerate(sign):
+        if slack and sg > 0:
+            start[i] = i if cost is None else units.get(i, ncols + i)
+    artificial = [i for i, j in enumerate(start) if j is None]
+    m = len(artificial)
     tab = []
-    for i, (row, sg) in enumerate(zip(a, sign)):
-        ints = [sg * v.numerator * (s // v.denominator) for v, s in zip(row, scale)]
-        units = [sg * (i == k) for k in range(n - ncols)]
-        tab.append(units + ints if cost is None else ints + units)
-    start: list[int | None] = [None] * d
-    for j, col in enumerate(zip(*tab)):
-        if sum(map(abs, col)) == 1 and 1 in col and start[col.index(1)] is None:
-            start[col.index(1)] = j
-    artificial = [i for i in range(d) if start[i] is None]
+    for i, (row, (t, q), sg) in enumerate(zip(body, rhs, sign)):
+        unit = [0] * i + [sg] + [0] * (d - i - 1) if slack else []
+        tab.append((unit + row if cost is None else row + unit) + [0] * m + [abs(t) * (lb // q)])
     for k, i in enumerate(artificial):
         start[i] = n + k
-    for i, row in enumerate(tab):
-        row += [int(start[i] == n + k) for k in range(len(artificial))]
-        row.append(abs(bs[i]))
-    phase1 = [0] * n + [1] * len(artificial) + [0]
-    for i in artificial:
-        phase1 = [z - v for z, v in zip(phase1, tab[i])]
+        tab[i][n + k] = 1
+    phase1 = [-sum(col) for col in zip(*[tab[i] for i in artificial])] or [0] * (n + 1)
+    phase1[n : n + m] = [0] * m
     tab.append(phase1)
     if cost is not None:
-        row, lc = _ints([cj * s for cj, s in zip(cost, scale)])
-        row += [0] * (d + len(artificial) + 1)
+        cq = [t.as_integer_ratio() for t in cost]
+        lc = lcm(*[q // gcd(q, s) for (_, q), s in zip(cq, scale)])
+        row = [p * s * lc // q for (p, q), s in zip(cq, scale)] + [0] * (d + m + 1)
         for i, j in enumerate(start):
             f = row[j]
             if f:
@@ -298,16 +308,18 @@ def _simplex(
             if j >= n:
                 tab[r] = [-v for v in tab[r]]
                 basis[r] = ncols + artificial[j - n]
+        if m:
+            tab = [row[:n] + row[-1:] for row in tab]
         den = _bland(tab, basis, den, d, n, False)
         if den is None:
             return BOT
-    x = [_F0] * ncols
+    xs = [0] * ncols
     for i, j in enumerate(basis):
         if x0 <= j < x0 + ncols:
-            x[j - x0] = Fraction(tab[i][-1] * scale[j - x0], den * lb)
+            xs[j - x0] = tab[i][-1] * scale[j - x0]
     if cost is None:
-        return FarkasOutcome.primal(x)
-    return tuple(x), tuple(Fraction(v, den * lc) for v in tab[d][ncols:n])
+        return FarkasOutcome.primal(Fraction(v, den * lb) if v else _F0 for v in xs)
+    return (tuple(xs), den * lb), (tuple(tab[d][ncols:n]), den * lc)
 
 
 def solve_equality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> FarkasOutcome:
@@ -335,9 +347,10 @@ def solve_inequality(a: Sequence[Sequence], b: Sequence, ncols: int | None = Non
 
 
 def solve_program(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequence[Fraction]) -> tuple | ExtValue:
-    """Minimize ``c . x`` over ``A x <= b, x >= 0``, rationals throughout:
+    """Minimize ``c . x`` over ``A x <= b, x >= 0`` for rational ``A, b, c``:
     top if infeasible, bot if unbounded, else ``x`` with ``y >= 0``, optimal
-    for the dual ``-A^T y <= c``, so ``c . x + b . y == 0``."""
+    for the dual ``-A^T y <= c``, so ``c . x + b . y == 0``, as integers
+    ``((xs, dx), (ys, dy))``: ``x = xs / dx`` and ``y = ys / dy``, ``dx, dy > 0``."""
     return _simplex(a, b, len(c), True, c)
 
 
@@ -352,8 +365,11 @@ def system_preconditions(a: ExtMatrix, b: ExtVector) -> dict[str, tuple[int, ...
 
     Keys are condition names, values the offending row/column indices in
     ascending order; only violated conditions appear.  They are read off
-    the endpoint index ``a.bots`` / ``a.tops`` and ``b``.
+    the endpoint index ``a.bots`` / ``a.tops`` and ``b``: an all-finite
+    ``A`` violates none.
     """
+    if not a.bots and not a.tops:
+        return {}
     bot_rows, top_rows = {i for i, _ in a.bots}, {i for i, _ in a.tops}
     found = (
         (MIXED_ROW, bot_rows & top_rows),
@@ -382,6 +398,8 @@ def infinity_masks(bots: Sequence, tops: Sequence, b: ExtVector, ncols: int) -> 
     live = [i for i in range(len(b)) if not b[i].is_top and i not in bot_rows]
     if any(b[i].is_bot for i in live):
         return None
+    if not tops:
+        return live, list(range(ncols))
     forced = {j for i, j in tops if i not in bot_rows and not b[i].is_top}
     return live, [j for j in range(ncols) if j not in forced]
 
@@ -452,8 +470,10 @@ def verify_dual_ineq(a: Sequence[Sequence], b: Sequence, y: Sequence) -> bool:
     return verify_dual_eq(a, b, ys) and all(v >= 0 for v in ys)
 
 
-def verify_primal_ext(a: ExtMatrix, b: ExtVector, x: Sequence) -> bool:
-    """Finite ``x >= 0`` with ``mul_weig(A, x) <= b``."""
+def verify_primal_ext(a: ExtMatrix, b: ExtVector | Sequence, x: Sequence) -> bool:
+    """Finite ``x >= 0`` with ``mul_weig(A, x) <= b``; ``b`` is coerced to an
+    :class:`ExtVector` once."""
+    b = b if isinstance(b, ExtVector) else ExtVector(b)
     if a.nrows != len(b):
         raise DimensionError(f"{a.nrows} rows vs {len(b)} rhs entries")
     xs = rat_vector(x)

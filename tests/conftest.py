@@ -1,5 +1,6 @@
-"""Shared helpers: fixture paths and program loading."""
+"""Shared helpers: fixture paths, program loading and the optimal pair's form."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,12 @@ def load_program(name: str) -> ExtendedLP:
     a, b, c = parse_program_text(fixture_path(name).read_text())
     assert c is not None, f"{name} has no cost section"
     return ExtendedLP(a, b, c)
+
+
+def fractions(pair) -> tuple:
+    """``solve_program``'s optimal pair, each side integer numerators over
+    one denominator, as two tuples of Fractions."""
+    return tuple(tuple(Fraction(v, den) for v in nums) for nums, den in pair)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -39,7 +40,7 @@ from extlp import farkas as farkas_module
 from extlp.extlinalg import neg_transpose, rat_dot
 from extlp.farkas import verify_primal_ineq
 from extlp.oracle import oracle_feasible_point
-from conftest import load_program
+from conftest import fractions, load_program
 
 COUNTEREXAMPLES = {
     "p1.lp": "mixed_col",
@@ -346,8 +347,16 @@ CHECKED = ExtendedLP([[1, 1], [1, -1]], [4, 2], [-1, -2])
 OPTIMAL_X, OPTIMAL_Y = (Fraction(0), Fraction(4)), (Fraction(2), Fraction(0))
 
 
+def ints(v) -> tuple:
+    """Rationals ``v`` as one side of ``solve_program``'s pair: integer
+    numerators over the lcm of their denominators."""
+    v = [Fraction(f) for f in v]
+    den = lcm(*(f.denominator for f in v))
+    return tuple(int(f * den) for f in v), den
+
+
 def test_the_check_accepts_an_optimal_pair(monkeypatch):
-    monkeypatch.setattr(elp_module, "solve_program", lambda a, b, c: (OPTIMAL_X, OPTIMAL_Y))
+    monkeypatch.setattr(elp_module, "solve_program", lambda a, b, c: (ints(OPTIMAL_X), ints(OPTIMAL_Y)))
     p_opt, d_opt = optimum_pair(CHECKED)
     assert p_opt.value == finite(-8) and d_opt.value == finite(8)
 
@@ -363,9 +372,26 @@ def test_the_check_accepts_an_optimal_pair(monkeypatch):
     ],
 )
 def test_the_check_rejects_a_bad_witness(x, y, message, monkeypatch):
-    pair = tuple(map(Fraction, x)), tuple(map(Fraction, y))
+    pair = ints(x), ints(y)
     monkeypatch.setattr(elp_module, "solve_program", lambda a, b, c: pair)
     with pytest.raises(TheoremViolationError, match=message):
+        optimum_pair(CHECKED)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (((0, 4), 0), ints(OPTIMAL_Y)),  # x over a zero denominator
+        (ints(OPTIMAL_X), ((2, 0), 0)),  # y over a zero denominator
+        (((0, -4), -1), ints(OPTIMAL_Y)),  # x = (0, 4) over a negative denominator
+        (((0, 4, 0), 1), ints(OPTIMAL_Y)),  # x one entry too long
+        (ints(OPTIMAL_X), ((2,), 1)),  # y one entry too short
+        (ints(OPTIMAL_X), ((2, 0, 0), 1)),  # y one entry too long
+    ],
+)
+def test_the_check_rejects_a_malformed_pair(x, y, monkeypatch):
+    monkeypatch.setattr(elp_module, "solve_program", lambda a, b, c: (x, y))
+    with pytest.raises(TheoremViolationError, match="wrong shape or denominator"):
         optimum_pair(CHECKED)
 
 
@@ -378,7 +404,7 @@ def mirror(a: list, b: list, c: list) -> tuple[list, list, list]:
 def check_stage(a, b, c, x, y) -> str | None:
     """The first part of ``_check_pair`` that fails, None when it passes."""
     try:
-        value = elp_module._check_pair(a, b, c, x, y)
+        value = elp_module._check_pair(a, b, c, ints(x), ints(y))
     except TheoremViolationError as exc:
         return next(stage for stage in ("primal", "dual", "value") if stage in str(exc))
     assert value == rat_dot(c, x)
@@ -403,7 +429,7 @@ def test_the_integer_check_agrees_with_verify_primal_ineq():
         a = [tuple(entry() for _ in range(n)) for _ in range(m)]
         b, c = [entry() for _ in range(m)], [entry() for _ in range(n)]
         out = farkas_module.solve_program(a, b, c)
-        x, y = out if isinstance(out, tuple) else ((Fraction(0),) * n, (Fraction(0),) * m)
+        x, y = fractions(out) if isinstance(out, tuple) else ((Fraction(0),) * n, (Fraction(0),) * m)
         if rng.random() < 0.8:
             x, y = perturb(x), perturb(y)
         if not verify_primal_ineq(a, b, x):

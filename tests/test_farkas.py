@@ -31,6 +31,7 @@ from extlp import farkas as farkas_module
 from extlp.extlinalg import dot_weig, le_vec, mul_weig, neg_transpose, rat_transpose, rat_vector
 from extlp.farkas import _bartl, solve_program
 from extlp.oracle import oracle_feasible_point
+from conftest import fractions
 
 
 def random_system(rng: random.Random, max_dim: int = 4, bound: int = 3):
@@ -300,6 +301,13 @@ def test_the_extended_verifiers_check_the_shape_first():
         assert str(err.value) == "1 rows vs 2 rhs entries"
 
 
+def test_the_extended_verifiers_take_a_list_of_right_hand_sides():
+    a = ExtMatrix([[1, 2]])
+    assert verify_primal_ext(a, [3], [1, 1])
+    assert not verify_primal_ext(a, [2], [1, 1])
+    assert verify_dual_ext(a, [-1], [1])
+
+
 def test_verify_dual_ext_builds_no_transpose(monkeypatch):
     calls = []
 
@@ -453,7 +461,34 @@ def test_phase_one_witnesses_follow_blands_rule(a, b, x, y):
     ],
 )
 def test_phase_two_witnesses_follow_blands_rule(a, b, c, x, y):
-    assert solve_program(a, b, c) == (x, y)
+    assert fractions(solve_program(a, b, c)) == (x, y)
+
+
+# --- the start basis, pinned by its exact witnesses ---
+# Each row starts on its first unit column in tableau order, the columns of
+# A counted once scaled to integers, so a lone 1/3 in a column is a unit
+# column.  Found by seeded searches: starting the row on an artificial, or
+# on its slack, ends each of these at another witness (in the comments).
+
+
+def test_equality_starts_on_a_column_that_is_a_unit_once_scaled():
+    # an artificial start for row 0: x = (0, 2, 4)
+    out = solve_equality([[Fraction(1, 3), 0, 1], [0, -2, 0]], [4, -4])
+    assert (out.x, out.y) == ((12, 2, 0), None)
+
+
+def test_inequality_starts_a_negative_row_on_a_unit_column_of_a():
+    # row 0 is negated for its b < 0, so its slack is no unit column but
+    # its lone -1/3 is; an artificial start for row 0: x = (2, 0)
+    out = solve_inequality([[-1, Fraction(-1, 3)], [-1, 0]], [-2, -1])
+    assert (out.x, out.y) == ((1, 3), None)
+
+
+def test_program_starts_on_a_unit_column_of_a_before_the_slack():
+    # the lone 1/3 of column 1 starts row 0, ahead of row 0's slack; a
+    # slack start for row 0: x = (0, 0)
+    out = solve_program([[0, Fraction(1, 3)], [3, 0]], [1, 3], [1, 0])
+    assert fractions(out) == ((0, 3), (0, 0))
 
 
 # --- sizes the recursion cannot reach ---
