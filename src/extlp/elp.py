@@ -43,9 +43,9 @@ from .farkas import (
     MIXED_ROW,
     TOP_ROW_TOP_RHS,
     _Record,
+    _feasible,
     _set,
     infinity_masks,
-    solve_inequality,
     solve_program,
     system_preconditions,
     verify_primal_ext,
@@ -210,8 +210,7 @@ def is_feasible(p: ExtendedLP) -> bool:
     residual = _residual(p.A, p.b, p.c)
     if isinstance(residual, Optimum):
         return not residual.value.is_top
-    a, b, c = residual[:3]
-    return solve_inequality(a, b, ncols=len(c)).is_primal
+    return _feasible(residual[0], residual[1], len(residual[2]))
 
 
 def is_unbounded(p: ExtendedLP) -> bool:
@@ -282,7 +281,7 @@ def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | 
     b, c = b.entries, c.entries
     rhs = [b[i]._q for i in live]
     if bot_cost:
-        return Optimum(BOT if solve_inequality(sub, rhs, ncols=len(keep)).is_primal else TOP)
+        return Optimum(BOT if _feasible(sub, rhs, len(keep)) else TOP)
     return sub, rhs, [c[j]._q for j in keep], live, keep
 
 
@@ -369,7 +368,7 @@ def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
         return p_opt, _decide(_residual(a, c, b, dual))[0]
     if d_opt is None:
         sub, rhs, cost = _residual(a, c, b, dual)[:3]
-        d_opt = Optimum(BOT if solve_inequality(sub, rhs, ncols=len(cost)).is_primal else TOP)
+        d_opt = Optimum(BOT if _feasible(sub, rhs, len(cost)) else TOP)
     return p_opt, d_opt
 
 

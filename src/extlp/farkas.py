@@ -13,12 +13,12 @@ on Q^d, is between
 
 One exact simplex, :func:`_simplex`, decides every finite system and
 program: fraction-free integer pivoting (Bareiss 1968) under Bland's
-anti-cycling rule (Bland 1977).  Phase 1 alone serves :func:`solve_equality`
-and :func:`solve_inequality`, reading ``x`` off the final basis and ``y``
-off the phase-1 duals; given a cost row, phase 2 follows and
-:func:`solve_program` gets an optimal pair.  The rationals are read once,
-into the tableau, and that pair leaves it as integer numerators over one
-denominator per side, with no Fraction per entry.  The extended solver
+anti-cycling rule (Bland 1977).  It reads the rationals once, into the
+tableau, and returns one run record: infeasible with the phase-1 duals
+``y``, else, after phase 2 under a cost row, unbounded with ``x`` and a
+ray, or optimal with ``x`` (and ``y`` under a cost), each as integers
+over one denominator; :func:`solve_equality`, :func:`solve_inequality`
+and :func:`solve_program` read their outputs off it.  The extended solver
 reduces to :func:`solve_inequality`.  :func:`farkas_bartl`, the paper's
 constructive Farkas-Bartl proof, is exponential in the worst case and is
 kept as the reference the simplex is checked against.
@@ -26,6 +26,7 @@ kept as the reference the simplex is checked against.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -192,12 +193,13 @@ def _bartl(rows: Sequence[tuple[Fraction, ...]], b: tuple[Fraction, ...]) -> Far
     return out
 
 
-def _bland(tab: list[list[int]], basis: list[int], den: int, d: int, n: int, phase1: bool) -> int | None:
+def _bland(tab: list[list[int]], basis: list[int], den: int, d: int, n: int, phase1: bool) -> tuple[int, int, int | None]:
     """Pivot by Bland's rule on the objective in row ``d``, over the first
     ``n`` columns, until no reduced cost is negative (in phase 1, or the
     objective is zero); the Bareiss updates divide exactly by ``den``.
-    Returns the last ``den``, or None when the objective is unbounded.
+    Returns the last ``den``, the pivots and the column no row blocks or None.
     """
+    pivots = 0
     while not phase1 or tab[d][-1]:
         z = tab[d]
         for k in range(n):
@@ -211,7 +213,7 @@ def _bland(tab: list[list[int]], basis: list[int], den: int, d: int, n: int, pha
             if p > 0 and (r is None or (tab[i][-1] * tab[r][k], basis[i]) < (tab[r][-1] * p, basis[r])):
                 r = i
         if r is None:
-            return None
+            return den, pivots, k
         p, prow = tab[r][k], tab[r]
         for i, row in enumerate(tab):
             if i != r:
@@ -222,13 +224,16 @@ def _bland(tab: list[list[int]], basis: list[int], den: int, d: int, n: int, pha
                     tab[i] = [(v * p - f * w) // den for v, w in zip(row, prow)]
                 elif p != den:
                     tab[i] = [v * p // den for v in row]
-        den, basis[r] = p, k
-    return den
+        den, basis[r], pivots = p, k, pivots + 1
+    return den, pivots, None
+
+
+_Run = namedtuple("_Run", "status x y ray pivots")
 
 
 def _simplex(
     a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], ncols: int, slack: bool, cost: Sequence[Fraction] | None = None
-) -> FarkasOutcome | tuple | ExtValue:
+) -> _Run:
     """Decide ``A x == b`` over ``x >= 0`` (``A x <= b`` with ``slack``) by
     one exact simplex; with ``cost`` (and ``slack``) minimize ``cost . x``.
 
@@ -243,14 +248,17 @@ def _simplex(
     rows, the phase-1 reduced costs, whose right-hand side is ``-den`` times
     the objective, and the cost.
 
-    Without ``cost``: ``x`` from the basic rows at objective zero, else
-    ``y = -pi`` with the row signs undone, where the phase-1 duals ``pi``
-    are ``-z/den`` for a unit start column with reduced cost ``z`` and
-    ``1 - z/den`` for an artificial.  With ``cost``: top at a positive
-    objective; a basic artificial, at level zero, leaves for its row's
-    slack, whose column is its negative, by negating the row, and the
-    artificial columns drop; phase 2 gives bot or ``((xs, den * lb), (ys,
-    den * lc))``, with ``ys`` the slacks' reduced costs.
+    Returns ``_Run(status, x, y, ray, pivots)``, ``x`` and ``y`` as
+    ``(numerators, denominator)`` or None, and the pivots of each phase.  A
+    positive phase-1 objective is "infeasible", with ``y = -pi``, the row
+    signs undone, where the phase-1 duals ``pi`` are ``-z/den`` for a unit
+    start column with reduced cost ``z`` and ``1 - z/den`` for an
+    artificial.  Else, with ``cost``, a basic artificial, at level zero,
+    leaves for its row's slack, whose column is its negative, by negating
+    the row, and the artificial columns drop for phase 2.  ``x`` is read off
+    the basic rows and, if "optimal", ``y`` off the slacks' reduced costs,
+    or, if "unbounded", an integer ``ray >= 0`` with ``A ray <= 0`` and
+    ``cost . ray < 0`` off the column no row blocks.
     """
     d = len(b)
     ratios = [[v.as_integer_ratio() for v in row] for row in a]
@@ -293,15 +301,12 @@ def _simplex(
         tab.append(row)
 
     basis = list(start)
-    den = _bland(tab, basis, 1, d, n, True)
+    den, p1, _ = _bland(tab, basis, 1, d, n, True)
     if tab[d][-1]:
-        if cost is not None:
-            return TOP
         z = tab[d]
-        return FarkasOutcome.dual(
-            Fraction(sg * z[j] if j < n else sg * (z[j] - den), den)
-            for sg, j in zip(sign, start)
-        )
+        ys = tuple(sg * z[j] if j < n else sg * (z[j] - den) for sg, j in zip(sign, start))
+        return _Run("infeasible", None, (ys, den), None, (p1, 0))
+    p2, k, y = 0, None, None
     if cost is not None:
         del tab[d]
         for r, j in enumerate(basis):
@@ -310,16 +315,30 @@ def _simplex(
                 basis[r] = ncols + artificial[j - n]
         if m:
             tab = [row[:n] + row[-1:] for row in tab]
-        den = _bland(tab, basis, den, d, n, False)
-        if den is None:
-            return BOT
+        den, p2, k = _bland(tab, basis, den, d, n, False)
+        y = (tuple(tab[d][ncols:n]), den * lc)
     xs = [0] * ncols
     for i, j in enumerate(basis):
         if x0 <= j < x0 + ncols:
             xs[j - x0] = tab[i][-1] * scale[j - x0]
-    if cost is None:
-        return FarkasOutcome.primal(Fraction(v, den * lb) if v else _F0 for v in xs)
-    return (tuple(xs), den * lb), (tuple(tab[d][ncols:n]), den * lc)
+    x = (tuple(xs), den * lb)
+    if k is None:
+        return _Run("optimal", x, y, None, (p1, p2))
+    ray = [den * s if j == k else 0 for j, s in enumerate(scale)]
+    for i, j in enumerate(basis):
+        if j < ncols:
+            ray[j] = -tab[i][k] * scale[j]
+    return _Run("unbounded", x, None, tuple(ray), (p1, p2))
+
+
+def _system(a: Sequence[Sequence], b: Sequence, ncols: int | None, slack: bool) -> FarkasOutcome:
+    """:func:`_simplex` on ``(A, b)`` read as rationals: its ``y`` if infeasible, else its ``x``."""
+    run = _simplex(*_rational_system(a, b, ncols), slack)
+    if run.status == "infeasible":
+        ys, dy = run.y
+        return FarkasOutcome.dual(Fraction(v, dy) for v in ys)
+    xs, dx = run.x
+    return FarkasOutcome.primal(Fraction(v, dx) if v else _F0 for v in xs)
 
 
 def solve_equality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> FarkasOutcome:
@@ -330,8 +349,7 @@ def solve_equality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None)
     ``A``.  ``ncols`` is only needed when ``A`` has no rows (the width is
     ambiguous there).
     """
-    mat, rhs, ncols = _rational_system(a, b, ncols)
-    return _simplex(mat, rhs, ncols, False)
+    return _system(a, b, ncols, False)
 
 
 def solve_inequality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> FarkasOutcome:
@@ -342,16 +360,24 @@ def solve_inequality(a: Sequence[Sequence], b: Sequence, ncols: int | None = Non
     nonnegative.  Read as ``(-A^T) y <= 0``, the certificate has the form
     the extended solver embeds into.
     """
-    mat, rhs, ncols = _rational_system(a, b, ncols)
-    return _simplex(mat, rhs, ncols, True)
+    return _system(a, b, ncols, True)
+
+
+def _feasible(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], ncols: int) -> bool:
+    """Whether ``A x <= b, x >= 0`` holds for some ``x``, off one run's status: no witness is built."""
+    return _simplex(a, b, ncols, True).status != "infeasible"
 
 
 def solve_program(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequence[Fraction]) -> tuple | ExtValue:
     """Minimize ``c . x`` over ``A x <= b, x >= 0`` for rational ``A, b, c``:
     top if infeasible, bot if unbounded, else ``x`` with ``y >= 0``, optimal
     for the dual ``-A^T y <= c``, so ``c . x + b . y == 0``, as integers
-    ``((xs, dx), (ys, dy))``: ``x = xs / dx`` and ``y = ys / dy``, ``dx, dy > 0``."""
-    return _simplex(a, b, len(c), True, c)
+    ``((xs, dx), (ys, dy))``: ``x = xs / dx`` and ``y = ys / dy``, ``dx, dy > 0``.
+    DimensionError unless ``A`` has ``len(b)`` rows of ``len(c)`` entries."""
+    if len(a) != len(b) or any(len(row) != len(c) for row in a):
+        raise DimensionError(f"A must be {len(b)}x{len(c)}: a row per entry of b, a column per entry of c")
+    run = _simplex(a, b, len(c), True, c)
+    return TOP if run.status == "infeasible" else BOT if run.status == "unbounded" else (run.x, run.y)
 
 
 MIXED_ROW = "mixed_row"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -29,7 +30,8 @@ from extlp import (
 from extlp import extlinalg as extlinalg_module
 from extlp import farkas as farkas_module
 from extlp.extlinalg import dot_weig, le_vec, mul_weig, neg_transpose, rat_transpose, rat_vector
-from extlp.farkas import _bartl, solve_program
+from extlp.elp import _check_pair
+from extlp.farkas import _bartl, _feasible, _simplex, solve_program
 from extlp.oracle import oracle_feasible_point
 from conftest import fractions
 
@@ -433,35 +435,45 @@ def test_beale_cycling_example_terminates_and_verifies(cut):
 # as a hang on some unseen input.
 
 
-@pytest.mark.parametrize(
-    "a, b, x, y",
-    [
-        # the other rule: x = (0, 0, 4/5, 0)
-        ([[-4, -4, -5, 2], [-5, -1, -2, -1]], [-4, 4], (1, 0, 0, 0), None),
-        # the other rule: y = (1, 2/3, 2/3, 0)
-        ([[-4, 2, 5], [3, -4, -3], [3, 1, 0], [2, -5, 2]], [-5, -1, 4, 4], None, (Fraction(3, 2), 1, 1, 0)),
-        # ties to the first row: y = (0, 1, 0, 1)
-        ([[2, -1], [1, 1], [2, -1], [0, -1]], [-1, 1, 0, -2], None, (1, 2, 0, 1)),
-    ],
-)
+PHASE_ONE_CASES = [
+    # the other rule: x = (0, 0, 4/5, 0)
+    ([[-4, -4, -5, 2], [-5, -1, -2, -1]], [-4, 4], (1, 0, 0, 0), None),
+    # the other rule: y = (1, 2/3, 2/3, 0)
+    ([[-4, 2, 5], [3, -4, -3], [3, 1, 0], [2, -5, 2]], [-5, -1, 4, 4], None, (Fraction(3, 2), 1, 1, 0)),
+    # ties to the first row: y = (0, 1, 0, 1)
+    ([[2, -1], [1, 1], [2, -1], [0, -1]], [-1, 1, 0, -2], None, (1, 2, 0, 1)),
+]
+PHASE_TWO_CASES = [
+    # the other rule in phase 2: x = (1, 0, 1)
+    ([[2, 1, 0], [-1, -1, -2], [0, 1, 1], [1, 0, 1]], [2, -2, 1, 2], [0, 2, -2], (0, 0, 1), (0, 0, 2, 0)),
+    # the other rule in phase 2: x = (0, 0, 1/3)
+    ([[-1, -2, -3], [-1, -2, -1], [2, 1, 3]], [-1, 1, 3], [1, 0, 0], (0, Fraction(1, 2), 0), (0, 0, 0)),
+    # ties to the first row: y = (2, 0, 0, 0)
+    ([[-1, 0], [0, -1], [2, -1], [1, 0]], [0, -2, -1, 1], [2, 0], (0, 2), (0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("a, b, x, y", PHASE_ONE_CASES)
 def test_phase_one_witnesses_follow_blands_rule(a, b, x, y):
     out = solve_inequality(a, b)
     assert (out.x, out.y) == (x, y)
 
 
-@pytest.mark.parametrize(
-    "a, b, c, x, y",
-    [
-        # the other rule in phase 2: x = (1, 0, 1)
-        ([[2, 1, 0], [-1, -1, -2], [0, 1, 1], [1, 0, 1]], [2, -2, 1, 2], [0, 2, -2], (0, 0, 1), (0, 0, 2, 0)),
-        # the other rule in phase 2: x = (0, 0, 1/3)
-        ([[-1, -2, -3], [-1, -2, -1], [2, 1, 3]], [-1, 1, 3], [1, 0, 0], (0, Fraction(1, 2), 0), (0, 0, 0)),
-        # ties to the first row: y = (2, 0, 0, 0)
-        ([[-1, 0], [0, -1], [2, -1], [1, 0]], [0, -2, -1, 1], [2, 0], (0, 2), (0, 0, 0, 0)),
-    ],
-)
+@pytest.mark.parametrize("a, b, c, x, y", PHASE_TWO_CASES)
 def test_phase_two_witnesses_follow_blands_rule(a, b, c, x, y):
     assert fractions(solve_program(a, b, c)) == (x, y)
+
+
+# the pivots of phase 1 and phase 2 on the same six systems: the three of
+# PHASE_ONE_CASES as systems (no phase 2), those of PHASE_TWO_CASES as programs
+@pytest.mark.parametrize(
+    "a, b, c, pivots",
+    [(a, b, None, p) for (a, b, *_), p in zip(PHASE_ONE_CASES, [(1, 0), (2, 0), (1, 0)])]
+    + [(a, b, c, p) for (a, b, c, *_), p in zip(PHASE_TWO_CASES, [(3, 2), (1, 1), (2, 1)])],
+)
+def test_each_phase_makes_blands_pivots(a, b, c, pivots):
+    run = _simplex(a, b, len(a[0]), True, c)
+    assert run.pivots == pivots
 
 
 # --- the start basis, pinned by its exact witnesses ---
@@ -489,6 +501,42 @@ def test_program_starts_on_a_unit_column_of_a_before_the_slack():
     # slack start for row 0: x = (0, 0)
     out = solve_program([[0, Fraction(1, 3)], [3, 0]], [1, 3], [1, 0])
     assert fractions(out) == ((0, 3), (0, 0))
+
+
+# --- the run record ---
+
+
+def test_solve_program_checks_its_shapes():
+    # c one short of A's width, c one past it, b one short of A's rows:
+    # unchecked, the first two answer wrongly and the third raises IndexError
+    for a, b, c in [([[1, 2]], [3], [-1]), ([[1]], [3], [-1, -1]), ([[1]], [3, 1], [-1])]:
+        with pytest.raises(DimensionError, match="A must be"):
+            solve_program(a, b, c)
+
+
+def test_the_record_certifies_each_status_of_a_program():
+    rng = random.Random(2011)
+    statuses = {"infeasible": 0, "unbounded": 0, "optimal": 0}
+    for _ in range(6000):
+        a, b, n = fractional_system(rng, max_dim=5)
+        c = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+        run = _simplex(a, b, n, True, c)
+        statuses[run.status] += 1
+        assert all(p >= 0 for p in run.pivots) and (run.status != "infeasible") == _feasible(a, b, n)
+        if run.status == "infeasible":
+            assert run.x is None and run.ray is None and run.pivots[1] == 0
+            y = [Fraction(v, run.y[1]) for v in run.y[0]]
+            assert run.y[1] > 0 and min(y, default=0) >= 0 and sum(map(mul, b, y)) < 0
+            assert all(sum(r[j] * v for r, v in zip(a, y)) >= 0 for j in range(n))
+            continue
+        x = [Fraction(v, run.x[1]) for v in run.x[0]]
+        assert run.x[1] > 0 and min(x, default=0) >= 0 and all(sum(map(mul, r, x)) <= t for r, t in zip(a, b))
+        if run.status == "unbounded":
+            assert run.y is None and min(run.ray) >= 0 and sum(map(mul, c, run.ray)) < 0
+            assert all(sum(map(mul, r, run.ray)) <= 0 for r in a)
+        else:
+            assert run.ray is None and _check_pair(a, b, c, run.x, run.y) == sum(map(mul, c, x))
+    assert min(statuses.values()) >= 1200, statuses
 
 
 # --- sizes the recursion cannot reach ---
