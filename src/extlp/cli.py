@@ -144,16 +144,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _header(ctx: dict) -> list[str]:
-    """The report's ``command``/``input``/``digest``/``seed`` lines; the JSON
-    form starts from ``ctx`` itself."""
-    return [f"{key} {_fmt(value)}" for key, value in ctx.items()]
+# the words of the text line for one entry of each index map
+_ENTRY_LINES = {
+    "conditions": lambda name, idx: (name, "violated", *idx) if idx else (name, "ok"),
+    "violations": lambda name, idx: ("violated", name, *idx),
+    "preconditions": lambda name, idx: ("precondition", name, *idx),
+}
 
 
-def _emit(lines: list[str], data: dict, as_json: bool) -> str:
+def _report(ctx: dict, body: dict, as_json: bool) -> str:
+    """The header ``ctx`` and then ``body``, as one JSON object or as one
+    ``key value`` line per field.  In text a list prints space-joined, an
+    index map prints one line per entry, and a body field of None no line."""
+    fields = {**ctx, **body}
     if as_json:
         import json
-        return json.dumps(data) + "\n"
+        return json.dumps(fields) + "\n"
+    lines = []
+    for key, value in fields.items():
+        if key in _ENTRY_LINES:
+            lines += [" ".join(map(str, _ENTRY_LINES[key](name, idx))) for name, idx in value.items()]
+        elif isinstance(value, list):
+            lines.append(" ".join([key, *value]))
+        elif value is not None or key in ctx:
+            lines.append(f"{key} {_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -165,22 +179,8 @@ def _require_cost(c: ExtVector | None) -> ExtVector:
 
 def _cmd_validate(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]:
     report = validate(prog)
-    lines = _header(ctx) + [
-        f"rows {prog.A.nrows}",
-        f"cols {prog.A.ncols}",
-    ]
-    conditions = report.as_dict()
-    lines += [f"{name} violated {' '.join(map(str, idx))}" if idx else f"{name} ok" for name, idx in conditions.items()]
-    lines.append(f"valid {_fmt(report.is_valid)}")
-    data = dict(
-        ctx,
-        rows=prog.A.nrows,
-        cols=prog.A.ncols,
-        conditions={name: list(idx) for name, idx in conditions.items()},
-        valid=report.is_valid,
-    )
-    code = EXIT_OK if report.is_valid else EXIT_PRECONDITION
-    return _emit(lines, data, as_json), code
+    body = dict(rows=prog.A.nrows, cols=prog.A.ncols, conditions=report.as_dict(), valid=report.is_valid)
+    return _report(ctx, body, as_json), (EXIT_OK if report.is_valid else EXIT_PRECONDITION)
 
 
 def _cmd_dualize(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]:
@@ -193,15 +193,14 @@ def _cmd_dualize(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]:
             "b": [format_ext(e) for e in dual.b],
             "c": [format_ext(e) for e in dual.c],
         }
-        return _emit([], dict(ctx, program=program), True), EXIT_OK
-    # the seed stays out of the dual program's comments
-    return format_program(dual.A, dual.b, dual.c, tuple(_header(ctx)[:3])), EXIT_OK
+        return _report(ctx, {"program": program}, True), EXIT_OK
+    # the header lines as comments; the seed stays out of the dual program
+    return format_program(dual.A, dual.b, dual.c, tuple(_report(ctx, {}, False).splitlines()[:3])), EXIT_OK
 
 
 def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) -> tuple[str, int]:
     report = validate(prog)
     opt, dual_opt = optimum_pair(prog)
-    opposites = opposites_opt(opt, dual_opt)
 
     oracle_verdict = None
     if with_oracle:
@@ -213,32 +212,17 @@ def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) ->
             )
         oracle_verdict = "agree"
 
-    lines = _header(ctx) + [
-        f"rows {prog.A.nrows}",
-        f"cols {prog.A.ncols}",
-        f"valid {_fmt(report.is_valid)}",
-    ]
-    for name, idx in report.failed().items():
-        lines.append(f"violated {name} {' '.join(str(i) for i in idx)}")
-    lines += [
-        f"optimum {opt}",
-        f"dual_optimum {dual_opt}",
-        f"opposites {_fmt(opposites)}",
-    ]
-    if oracle_verdict:
-        lines.append(f"oracle {oracle_verdict}")
-    data = dict(
-        ctx,
+    body = dict(
         rows=prog.A.nrows,
         cols=prog.A.ncols,
         valid=report.is_valid,
-        violations={name: list(idx) for name, idx in report.failed().items()},
+        violations=report.failed(),
         optimum=str(opt),
         dual_optimum=str(dual_opt),
-        opposites=opposites,
+        opposites=opposites_opt(opt, dual_opt),
         oracle=oracle_verdict,
     )
-    return _emit(lines, data, as_json), EXIT_OK
+    return _report(ctx, body, as_json), EXIT_OK
 
 
 def _farkas_preconditions(a: ExtMatrix, b: ExtVector, mode: str) -> dict[str, tuple[int, ...]]:
@@ -259,9 +243,6 @@ _FARKAS_MODES["ineq-neg"] = _FARKAS_MODES["ineq"]
 
 
 def _cmd_farkas(a: ExtMatrix, b: ExtVector, ctx: dict, as_json: bool, mode: str) -> tuple[str, int]:
-    base_lines = _header(ctx) + [f"mode {mode}"]
-    base_data = dict(ctx, mode=mode)
-
     solve, verify_primal, verify_dual = _FARKAS_MODES[mode]
     violations = _farkas_preconditions(a, b, mode)
     if not violations:
@@ -273,31 +254,17 @@ def _cmd_farkas(a: ExtMatrix, b: ExtVector, ctx: dict, as_json: bool, mode: str)
         except PreconditionError as exc:
             violations = exc.violations
     if violations:
-        lines = base_lines + [
-            f"precondition {name} {' '.join(str(i) for i in idx)}".rstrip()
-            for name, idx in sorted(violations.items())
-        ]
-        data = dict(base_data, preconditions={n: list(i) for n, i in violations.items()})
-        return _emit(lines, data, as_json), EXIT_PRECONDITION
+        body = dict(mode=mode, preconditions=dict(sorted(violations.items())))
+        return _report(ctx, body, as_json), EXIT_PRECONDITION
 
     verified = verify_primal(a, b, out.x) if out.is_primal else verify_dual(a, b, out.y)
     if not verified:
         raise TheoremViolationError("solver witness failed verification")
 
     witness = out.x if out.is_primal else out.y
-    tokens = [str(v) for v in witness]
-    lines = base_lines + [
-        f"outcome {'primal' if out.is_primal else 'dual'}",
-        ("witness " + " ".join(tokens)).rstrip(),
-        "verified true",
-    ]
-    data = dict(
-        base_data,
-        outcome="primal" if out.is_primal else "dual",
-        witness=tokens,
-        verified=True,
-    )
-    return _emit(lines, data, as_json), EXIT_OK
+    outcome = "primal" if out.is_primal else "dual"
+    body = dict(mode=mode, outcome=outcome, witness=[str(v) for v in witness], verified=True)
+    return _report(ctx, body, as_json), EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -206,10 +206,12 @@ def smul_nn(scale, v: ExtValue) -> ExtValue:
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse ``p/q``, integer or decimal literals exactly; an exponent over
-    Python's limit on the digits of an int (0 for none) is refused unbuilt."""
+    """Parse ``p/q``, integer or decimal literals exactly, with no ``_``; an
+    exponent over Python's limit on int digits (0 for none) is refused unbuilt."""
     t = token.strip()
     try:
+        if "_" in t:  # Fraction takes digit separators from Python 3.11 on
+            raise ValueError(f"Invalid literal for Fraction: {t!r}")
         exp = t.lower().partition("e")[2]
         limit = exp and getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit before 3.10.7
         if limit and abs(int(exp)) > limit:

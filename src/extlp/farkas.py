@@ -430,7 +430,7 @@ def infinity_masks(bots: Sequence, tops: Sequence, b: ExtVector, ncols: int) -> 
     return live, [j for j in range(ncols) if j not in forced]
 
 
-def solve_extended(a: ExtMatrix, b: ExtVector) -> FarkasOutcome:
+def solve_extended(a: ExtMatrix, b: ExtVector | Sequence) -> FarkasOutcome:
     """Alternative for ``A x <= b`` with extended entries.
 
     Primal: finite ``x >= 0`` with ``mul_weig(A, x) <= b``.  Dual: finite
@@ -450,6 +450,7 @@ def solve_extended(a: ExtMatrix, b: ExtVector) -> FarkasOutcome:
       ``(-A^T) y <= 0``; the witness is re-expanded with zeros at the
       masked positions.
     """
+    b = b if isinstance(b, ExtVector) else ExtVector(b)
     if a.nrows != len(b):
         raise DimensionError(f"{a.nrows} rows vs {len(b)} rhs entries")
     bad = system_preconditions(a, b)

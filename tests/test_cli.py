@@ -25,6 +25,7 @@ from extlp.cli import (
     parse_program_text,
 )
 from extlp.elp import ExtendedLP, dualize
+from extlp.extfield import format_ext
 from extlp.oracle import oracle_solve_extended
 from conftest import fixture_path, golden_text
 
@@ -45,6 +46,14 @@ GOLDEN_RUNS = [
     ("farkas_bot_ineq.txt", ["farkas", "farkas_bot.lp", "--mode", "ineq"], EXIT_PRECONDITION),
     ("farkas_lunch_ineq.txt", ["farkas", "lunch.lp", "--mode", "ineq"], EXIT_OK),
     ("dualize_lunch.txt", ["dualize", "lunch.lp"], EXIT_OK),
+    ("validate_lunch_json.txt", ["validate", "lunch.lp", "--json"], EXIT_OK),
+    ("solve_lunch_json.txt", ["solve", "lunch.lp", "--json"], EXIT_OK),
+    ("solve_lunch_oracle_json.txt", ["solve", "lunch.lp", "--oracle", "--json"], EXIT_OK),
+    ("solve_p2_json.txt", ["solve", "p2.lp", "--json"], EXIT_OK),
+    ("farkas_bot_ext_json.txt", ["farkas", "farkas_bot.lp", "--mode", "ext", "--json"], EXIT_OK),
+    ("farkas_bot_ineq_json.txt", ["farkas", "farkas_bot.lp", "--mode", "ineq", "--json"], EXIT_PRECONDITION),
+    ("farkas_lunch_ineq_json.txt", ["farkas", "lunch.lp", "--mode", "ineq", "--json"], EXIT_OK),
+    ("dualize_lunch_json.txt", ["dualize", "lunch.lp", "--json"], EXIT_OK),
 ]
 
 
@@ -123,6 +132,11 @@ PARSE_ERRORS = [
         "rows 1\ncols 1\nA\nx\nb\n0\n",
         "line 4: bad rational literal 'x': Invalid literal for Fraction: 'x'",
         id="bad_literal",
+    ),
+    pytest.param(
+        "rows 1\ncols 1\nA\n1_000\nb\n0\n",
+        "line 4: bad rational literal '1_000': Invalid literal for Fraction: '1_000'",
+        id="digit_separator",
     ),
     pytest.param("rows 1\ncolumns 1\n", "line 2: expected 'rows N' or 'cols N', got 'columns 1'", id="header"),
     pytest.param("rows one\ncols 1\n", "line 1: bad count 'one'", id="bad_count"),
@@ -289,6 +303,67 @@ def test_farkas_json_report(capsys):
     assert data["outcome"] == "primal"
     assert data["witness"] == ["190/573", "134/573"]
     assert data["verified"] is True
+
+
+# the text line kinds that each print one entry of an index map
+_ENTRY_LINES = {"violated": "violations", "precondition": "preconditions"}
+
+
+def _text_fields(text):
+    """A text report read back as fields: ``key value`` lines, a witness as
+    its tokens, index-map lines gathered into their map, and a dual program
+    with its header lines as comments."""
+    if text.startswith("# "):
+        a, b, c = parse_program_text(text)
+        fields = dict(line[2:].split(" ", 1) for line in text.splitlines() if line.startswith("# "))
+        tokens = lambda entries: [format_ext(e) for e in entries]  # noqa: E731
+        fields["program"] = {"rows": a.nrows, "cols": a.ncols, "A": [tokens(r) for r in a], "b": tokens(b), "c": tokens(c)}
+        return fields
+    fields = {}
+    for line in text.splitlines():
+        key, *rest = line.split(" ")
+        if key in _ENTRY_LINES:  # "violated NAME 0 1", "precondition NAME 0 1"
+            fields.setdefault(_ENTRY_LINES[key], {})[rest[0]] = [int(i) for i in rest[1:]]
+        elif rest[0] in ("ok", "violated"):  # "NAME ok", "NAME violated 0 1"
+            fields.setdefault("conditions", {})[key] = [int(i) for i in rest[1:]]
+        else:
+            fields[key] = rest if key == "witness" else " ".join(rest)
+    return fields
+
+
+def _printed(value):
+    """A field's value in the text form's terms; a map as its ordered entries."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return str(value)
+    return list(value.items()) if isinstance(value, dict) else value
+
+
+TEXT_RUNS = [run for run in GOLDEN_RUNS if "--json" not in run[1]]
+
+
+@pytest.mark.parametrize("golden,argv,expected_code", TEXT_RUNS, ids=[g[0] for g in TEXT_RUNS])
+def test_the_json_report_carries_the_text_reports_fields(golden, argv, expected_code, capsys):
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    assert code == expected_code
+    data, text = json.loads(out), _text_fields(golden_text(golden))
+    # a field the text form leaves out is null, or an index map with no entries
+    assert all(data[key] in (None, {}) for key in data.keys() - text.keys())
+    assert [(key, _printed(data[key])) for key in data if key in text] == [(k, _printed(v)) for k, v in text.items()]
+
+
+def test_farkas_lists_its_preconditions_sorted_in_both_forms(tmp_path, capsys):
+    system = tmp_path / "mixed.lp"
+    system.write_text("rows 2\ncols 2\nA\nbot top\n1 1\nb\nbot top\n")
+    code, out, _ = run_cli(["farkas", str(system)], capsys)
+    assert code == EXIT_PRECONDITION
+    assert out.splitlines()[-2:] == ["precondition bot_row_bot_rhs 0", "precondition mixed_row 0"]
+    code, out, _ = run_cli(["farkas", str(system), "--json"], capsys)
+    assert code == EXIT_PRECONDITION
+    assert list(json.loads(out)["preconditions"].items()) == [("bot_row_bot_rhs", [0]), ("mixed_row", [0])]
 
 
 # --- other modes ---

@@ -19,6 +19,7 @@ from extlp import (
     finite,
     format_ext,
     parse_ext,
+    parse_rational,
     smul_nn,
 )
 
@@ -251,6 +252,14 @@ def test_parse_rejects_garbage():
     for bad in ("", "infinity", "1/0", "--3", "nan", "0x3"):
         with pytest.raises(DomainError):
             parse_ext(bad)
+
+
+def test_parse_refuses_digit_separators():
+    # Fraction accepts "1_000" from Python 3.11 on; the file format has no separators on any version
+    for bad in ("1_000", "1_0/3", "0.0_1", "1e1_0"):
+        with pytest.raises(DomainError) as err:
+            parse_rational(bad)
+        assert str(err.value) == f"bad rational literal {bad!r}: Invalid literal for Fraction: {bad!r}"
 
 
 def test_parse_refuses_an_exponent_over_the_digit_limit():

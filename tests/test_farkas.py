@@ -310,6 +310,13 @@ def test_the_extended_verifiers_take_a_list_of_right_hand_sides():
     assert verify_dual_ext(a, [-1], [1])
 
 
+def test_solve_extended_takes_a_list_of_right_hand_sides():
+    a = ExtMatrix([[1, 2]])
+    assert solve_extended(a, [1]) == solve_extended(a, ExtVector([1]))
+    a = ExtMatrix([["top", -1], [1, 1]])
+    assert solve_extended(a, ["bot", 0]) == solve_extended(a, ExtVector(["bot", 0]))
+
+
 def test_verify_dual_ext_builds_no_transpose(monkeypatch):
     calls = []
 
