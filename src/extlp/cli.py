@@ -123,14 +123,21 @@ def parse_program_text(text: str) -> tuple[ExtMatrix, ExtVector, ExtVector | Non
     )
 
 
+def _program_fields(a: ExtMatrix, b: ExtVector, c: ExtVector | None) -> dict:
+    """A program's shape and entry tokens, read by the file format and by a JSON report."""
+    fields = {"rows": a.nrows, "cols": a.ncols, "A": [[format_ext(e) for e in row] for row in a], "b": [format_ext(e) for e in b]}
+    if c is not None:
+        fields["c"] = [format_ext(e) for e in c]
+    return fields
+
+
 def format_program(a: ExtMatrix, b: ExtVector, c: ExtVector | None, comments: tuple[str, ...] = ()) -> str:
     """Render a program in the file format; inverse of :func:`parse_program_text`."""
+    p = _program_fields(a, b, c)
     lines = [f"# {comment}" for comment in comments]
-    lines += [f"rows {a.nrows}", f"cols {a.ncols}", "A"]
-    lines += [" ".join(format_ext(e) for e in row) for row in a]
-    lines += ["b", " ".join(format_ext(e) for e in b)]
+    lines += [f"rows {p['rows']}", f"cols {p['cols']}", "A", *map(" ".join, p["A"]), "b", " ".join(p["b"])]
     if c is not None:
-        lines += ["c", " ".join(format_ext(e) for e in c)]
+        lines += ["c", " ".join(p["c"])]
     return "\n".join(lines) + "\n"
 
 
@@ -186,14 +193,7 @@ def _cmd_validate(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]
 def _cmd_dualize(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]:
     dual = dualize(prog)
     if as_json:
-        program = {
-            "rows": dual.A.nrows,
-            "cols": dual.A.ncols,
-            "A": [[format_ext(e) for e in row] for row in dual.A],
-            "b": [format_ext(e) for e in dual.b],
-            "c": [format_ext(e) for e in dual.c],
-        }
-        return _report(ctx, {"program": program}, True), EXIT_OK
+        return _report(ctx, {"program": _program_fields(dual.A, dual.b, dual.c)}, True), EXIT_OK
     # the header lines as comments; the seed stays out of the dual program
     return format_program(dual.A, dual.b, dual.c, tuple(_report(ctx, {}, False).splitlines()[:3])), EXIT_OK
 

@@ -25,6 +25,7 @@ and so require validity.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -44,7 +45,6 @@ from .farkas import (
     TOP_ROW_TOP_RHS,
     _Record,
     _feasible,
-    _set,
     infinity_masks,
     solve_program,
     system_preconditions,
@@ -95,12 +95,12 @@ DUAL_CONDITION_SWAP = {
     BOT_COL_TOP_COST: TOP_ROW_TOP_RHS,
 }
 
-class ExtendedLP(_Record):
+class ExtendedLP(_Record, namedtuple("ExtendedLP", "A b c")):
     """Minimize ``c . x`` over finite ``x >= 0`` subject to ``A x <= b``."""
 
-    __slots__ = __match_args__ = ("A", "b", "c")
+    __slots__ = ()
 
-    def __init__(self, A: ExtMatrix, b: ExtVector, c: ExtVector):
+    def __new__(cls, A: ExtMatrix, b: ExtVector, c: ExtVector):
         c = c if isinstance(c, ExtVector) else ExtVector(c)
         b = b if isinstance(b, ExtVector) else ExtVector(b)
         if isinstance(A, ExtMatrix):
@@ -113,34 +113,24 @@ class ExtendedLP(_Record):
             raise DimensionError(f"b has {len(b)} entries for {a.nrows} rows")
         if len(c) != a.ncols:
             raise DimensionError(f"c has {len(c)} entries for {a.ncols} columns")
-        _set(self, "A", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
+        return super().__new__(cls, a, b, c)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.A.shape
 
 
-class ValidityReport(_Record):
+class ValidityReport(_Record, namedtuple("ValidityReport", CONDITIONS)):
     """Per-condition violating indices; a valid program has all six empty."""
 
-    __slots__ = __match_args__ = CONDITIONS
-
-    def __init__(self, mixed_row, mixed_col, bot_row_bot_rhs, top_col_bot_cost, top_row_top_rhs, bot_col_top_cost):
-        _set(self, "mixed_row", mixed_row)
-        _set(self, "mixed_col", mixed_col)
-        _set(self, "bot_row_bot_rhs", bot_row_bot_rhs)
-        _set(self, "top_col_bot_cost", top_col_bot_cost)
-        _set(self, "top_row_top_rhs", top_row_top_rhs)
-        _set(self, "bot_col_top_cost", bot_col_top_cost)
+    __slots__ = ()
 
     @property
     def is_valid(self) -> bool:
         return not self.failed()
 
     def as_dict(self) -> dict[str, tuple[int, ...]]:
-        return {name: getattr(self, name) for name in CONDITIONS}
+        return self._asdict()
 
     def failed(self) -> dict[str, tuple[int, ...]]:
         return {name: idx for name, idx in self.as_dict().items() if idx}
@@ -172,11 +162,12 @@ class ValidELP(ExtendedLP):
 
     __slots__ = ()
 
-    def __init__(self, A: ExtMatrix, b: ExtVector, c: ExtVector):
-        super().__init__(A, b, c)
-        report = validate(self)
+    def __new__(cls, *args, **kwargs):
+        p = super().__new__(cls, *args, **kwargs)
+        report = validate(p)
         if not report.is_valid:
             raise InvalidProgramError(report)
+        return p
 
 
 def _as_valid(p: ExtendedLP) -> ValidELP:
@@ -220,15 +211,15 @@ def is_unbounded(p: ExtendedLP) -> bool:
     return optimum(_as_valid(p)).value.is_bot
 
 
-class Optimum(_Record):
+class Optimum(_Record, namedtuple("Optimum", "value")):
     """The optimum of a program, always a value, coerced by ``as_ext``:
     ``top`` encodes infeasibility, ``bot`` unboundedness, a finite value an
     attained optimum."""
 
-    __slots__ = __match_args__ = ("value",)
+    __slots__ = ()
 
-    def __init__(self, value):
-        _set(self, "value", as_ext(value))
+    def __new__(cls, value):
+        return super().__new__(cls, as_ext(value))
 
     def __str__(self):
         return str(self.value)
@@ -239,35 +230,20 @@ def opposites_opt(p: Optimum, q: Optimum) -> bool:
     return p.value == -q.value
 
 
-def _kept(bots: Sequence, tops: Sequence, b: ExtVector, c: ExtVector, ncols: int) -> tuple[list, list, bool] | Optimum:
-    """``(live, keep, bot_cost)``: the rows and columns a program's finite
-    residual keeps, by :func:`~extlp.farkas.infinity_masks` on the endpoint
-    index ``bots`` / ``tops`` of its matrix, and whether a cost is bot.  A
-    bot cost pins every value to bot, so every free column stays; otherwise
-    the top-cost columns must be zero and drop.  The optimum top when a live
-    bot right-hand side means top.
-    """
-    masks = infinity_masks(bots, tops, b, ncols)
-    if masks is None:
-        return Optimum(TOP)
-    live, free = masks
-    bot_cost = any(e.is_bot for e in c)
-    return live, free if bot_cost else [j for j in free if not c[j].is_top], bot_cost
-
-
 def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | None = None) -> Optimum | tuple:
     """The optimum of ``(A, b, c)`` if the infinity placements decide it,
     else the finite residual ``(A', b', c')`` and the rows and columns of
     ``A`` it keeps.
 
-    :func:`_kept` finds top, or the rows and columns to keep; under a bot
-    cost, solvability of the kept system decides bot or top.  Given
-    ``dual``, the :func:`_dual_kept` of ``(A, c, b)``, the program is
-    instead that dual, ``(-A^T, b, c)``: its entries are read off ``A`` as
-    ``-A[j][i]``, its rows and columns are ``A``'s columns and rows, and on
-    the columns and rows of a primal residual it is ``(-A'^T, c', b')``.
+    :func:`~extlp.farkas.infinity_masks` on ``A``'s endpoint index finds
+    top, or the rows and columns to keep; under a bot cost, solvability of
+    the kept system decides bot or top.  Given ``dual``, the
+    :func:`_dual_kept` of ``(A, c, b)``, the program is instead that dual,
+    ``(-A^T, b, c)``: its entries are read off ``A`` as ``-A[j][i]``, its
+    rows and columns are ``A``'s columns and rows, and on the columns and
+    rows of a primal residual it is ``(-A'^T, c', b')``.
     """
-    kept = _kept(a.bots, a.tops, b, c, a.ncols) if dual is None else dual
+    kept = dual or infinity_masks(a.bots, a.tops, b, c, a.ncols) or Optimum(TOP)
     if isinstance(kept, Optimum):
         return kept
     live, keep, bot_cost = kept
@@ -286,12 +262,11 @@ def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | 
 
 
 def _dual_kept(a: ExtMatrix, b: ExtVector, c: ExtVector) -> tuple | Optimum:
-    """The :func:`_kept` of the dual ``(-A^T, c, b)``, read off ``A``'s
-    index: the dual follows the primal's rules, the bots of ``-A^T`` are the
-    tops of ``A`` and its tops the bots of ``A``, with ``(i, j)`` read as
-    ``(j, i)``.
+    """The masks of the dual ``(-A^T, c, b)``, read off ``A``'s index, or
+    its optimum top: the bots of ``-A^T`` are the tops of ``A`` and its tops
+    the bots of ``A``, with ``(i, j)`` read as ``(j, i)``.
     """
-    return _kept([(j, i) for i, j in a.tops], [(j, i) for i, j in a.bots], c, b, a.nrows)
+    return infinity_masks([(j, i) for i, j in a.tops], [(j, i) for i, j in a.bots], c, b, a.nrows) or Optimum(TOP)
 
 
 def _combine(vectors: list, weights: list[int], size: int) -> tuple[list[int], int]:

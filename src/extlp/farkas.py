@@ -70,45 +70,38 @@ __all__ = [
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-_set = object.__setattr__
 
-
-class _Record:
-    """A read-only record of the fields in ``__match_args__``, which ``__init__``
-    sets through ``_set``; like a frozen dataclass, it equals only a record of
-    its own class with equal fields, and hashes and prints its fields."""
+class _Record(tuple):
+    """Equality for the records, each a ``namedtuple`` subclass that names
+    its fields once: a record equals only a record of its own class with
+    equal fields, never another tuple, and hashes as the tuple of its fields.
+    A record also unpacks, indexes and orders as a tuple; ``_make`` and
+    ``_replace`` skip its constructor's checks, so nothing here calls them."""
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
     def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # tuple.__eq__ answers the reflected call, so any other tuple is refused here
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._fields())
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__  # ``value`` has a default for this
+    __hash__ = tuple.__hash__
 
 
-class FarkasOutcome(_Record):
+class FarkasOutcome(_Record, namedtuple("FarkasOutcome", "x y")):
     """Exactly one of a primal witness ``x`` or a dual certificate ``y``."""
 
-    __slots__ = __match_args__ = ("x", "y")
+    __slots__ = ()
 
-    def __init__(self, x: tuple[Fraction, ...] | None, y: tuple[Fraction, ...] | None):
+    def __new__(cls, x: tuple[Fraction, ...] | None, y: tuple[Fraction, ...] | None):
         if (x is None) == (y is None):
             raise ValueError("outcome must carry exactly one witness")
-        _set(self, "x", x)
-        _set(self, "y", y)
+        return super().__new__(cls, x, y)
 
     @classmethod
     def primal(cls, x: Sequence[Fraction]) -> "FarkasOutcome":
@@ -406,8 +399,9 @@ def system_preconditions(a: ExtMatrix, b: ExtVector) -> dict[str, tuple[int, ...
     return {name: tuple(sorted(idx)) for name, idx in found if idx}
 
 
-def infinity_masks(bots: Sequence, tops: Sequence, b: ExtVector, ncols: int) -> tuple[list[int], list[int]] | None:
-    """The rows of ``A x <= b`` that can fail and the columns left free.
+def infinity_masks(bots: Sequence, tops: Sequence, b: ExtVector, c: Sequence, ncols: int) -> tuple[list[int], list[int], bool] | None:
+    """The rows of ``A x <= b`` that can fail, the columns left free, and
+    whether the cost ``c`` has a bot; a system passes ``()`` as its cost.
 
     ``A`` comes as its endpoint index, the ``(i, j)`` positions of its bot
     and of its top entries in any order, and has ``len(b)`` rows and
@@ -416,21 +410,34 @@ def infinity_masks(bots: Sequence, tops: Sequence, b: ExtVector, ncols: int) -> 
 
     A row holds for every ``x`` when it carries a bot in ``A`` (its value is
     pinned to bot) or has a top right-hand side; the others are live.  A top
-    in a live row forces its variable to zero.  Returns the live rows and
-    the columns no live top forces, or None when a live row has a bot
+    in a live row forces its variable to zero.  A bot cost pins every value
+    to bot, so it forces nothing more; otherwise a top cost forces its
+    column to zero too.  Returns ``(live, keep, bot_cost)``, the live rows
+    and the columns nothing forces, or None when a live row has a bot
     right-hand side, which no all-finite row value can meet.
     """
     bot_rows = {i for i, _ in bots}
     live = [i for i in range(len(b)) if not b[i].is_top and i not in bot_rows]
     if any(b[i].is_bot for i in live):
         return None
-    if not tops:
-        return live, list(range(ncols))
+    bot_cost = any(e.is_bot for e in c)
     forced = {j for i, j in tops if i not in bot_rows and not b[i].is_top}
-    return live, [j for j in range(ncols) if j not in forced]
+    if not bot_cost:
+        forced.update(j for j, e in enumerate(c) if e.is_top)
+    return live, [j for j in range(ncols) if j not in forced], bot_cost
 
 
-def solve_extended(a: ExtMatrix, b: ExtVector | Sequence) -> FarkasOutcome:
+def _ext_system(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> tuple[ExtMatrix, ExtVector]:
+    """``(A, b)`` as an :class:`ExtMatrix` and an :class:`ExtVector` with an
+    entry per row of ``A``, else DimensionError."""
+    a = a if isinstance(a, ExtMatrix) else ExtMatrix(a)
+    b = b if isinstance(b, ExtVector) else ExtVector(b)
+    if a.nrows != len(b):
+        raise DimensionError(f"{a.nrows} rows vs {len(b)} rhs entries")
+    return a, b
+
+
+def solve_extended(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> FarkasOutcome:
     """Alternative for ``A x <= b`` with extended entries.
 
     Primal: finite ``x >= 0`` with ``mul_weig(A, x) <= b``.  Dual: finite
@@ -450,18 +457,16 @@ def solve_extended(a: ExtMatrix, b: ExtVector | Sequence) -> FarkasOutcome:
       ``(-A^T) y <= 0``; the witness is re-expanded with zeros at the
       masked positions.
     """
-    b = b if isinstance(b, ExtVector) else ExtVector(b)
-    if a.nrows != len(b):
-        raise DimensionError(f"{a.nrows} rows vs {len(b)} rhs entries")
+    a, b = _ext_system(a, b)
     bad = system_preconditions(a, b)
     if bad:
         names = ", ".join(sorted(bad))
         raise PreconditionError(f"extended system hypotheses violated: {names}", bad)
 
-    masks = infinity_masks(a.bots, a.tops, b, a.ncols)
+    masks = infinity_masks(a.bots, a.tops, b, (), a.ncols)
     if masks is None:
         return FarkasOutcome.dual((_F0,) * a.nrows)
-    live, free = masks
+    live, free, _ = masks
     sub = [tuple(a[i][j].finite_value for j in free) for i in live]
     rhs = [b[i].finite_value for i in live]
     out = solve_inequality(sub, rhs, ncols=len(free))
@@ -497,23 +502,19 @@ def verify_dual_ineq(a: Sequence[Sequence], b: Sequence, y: Sequence) -> bool:
     return verify_dual_eq(a, b, ys) and all(v >= 0 for v in ys)
 
 
-def verify_primal_ext(a: ExtMatrix, b: ExtVector | Sequence, x: Sequence) -> bool:
-    """Finite ``x >= 0`` with ``mul_weig(A, x) <= b``; ``b`` is coerced to an
-    :class:`ExtVector` once."""
-    b = b if isinstance(b, ExtVector) else ExtVector(b)
-    if a.nrows != len(b):
-        raise DimensionError(f"{a.nrows} rows vs {len(b)} rhs entries")
+def verify_primal_ext(a: ExtMatrix | Sequence, b: ExtVector | Sequence, x: Sequence) -> bool:
+    """Finite ``x >= 0`` with ``mul_weig(A, x) <= b``."""
+    a, b = _ext_system(a, b)
     xs = rat_vector(x)
     if any(v < 0 for v in xs):
         return False
     return le_vec(mul_weig(a, xs), b)
 
 
-def verify_dual_ext(a: ExtMatrix, b: ExtVector, y: Sequence) -> bool:
+def verify_dual_ext(a: ExtMatrix | Sequence, b: ExtVector | Sequence, y: Sequence) -> bool:
     """Finite ``y >= 0`` with ``mul_weig(-A^T, y) <= 0`` and ``dot_weig(b, y) < 0``;
     each column of ``-A^T`` is read off ``A``'s rows."""
-    if a.nrows != len(b):
-        raise DimensionError(f"{a.nrows} rows vs {len(b)} rhs entries")
+    a, b = _ext_system(a, b)
     ys = rat_vector(y)
     if any(v < 0 for v in ys):
         return False

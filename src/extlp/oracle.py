@@ -14,6 +14,7 @@ Everything is exact and deliberately slow; sizes are capped.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -22,7 +23,7 @@ from .errors import GenerationBudgetError, ScaleLimitError, TheoremViolationErro
 from .extfield import BOT, TOP, ExtValue
 from .extlinalg import ExtMatrix, ExtVector, _rational_system, rat_dot, rat_vector
 from .elp import ExtendedLP, Optimum, ValidELP, validate
-from .farkas import _Record, _set
+from .farkas import _Record
 
 __all__ = [
     "OracleResult",
@@ -48,7 +49,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-class OracleResult(_Record):
+class OracleResult(_Record, namedtuple("OracleResult", "status value point ray", defaults=(None, None, None))):
     """Outcome of a finite reference solve.
 
     ``point`` is an argmin for :func:`oracle_solve_finite` (Fourier-Motzkin
@@ -56,13 +57,7 @@ class OracleResult(_Record):
     ``ray >= 0``, ``A ray <= 0`` and ``c . ray <= -1``.
     """
 
-    __slots__ = __match_args__ = ("status", "value", "point", "ray")
-
-    def __init__(self, status: str, value: Fraction | None = None, point: tuple | None = None, ray: tuple | None = None):
-        _set(self, "status", status)
-        _set(self, "value", value)
-        _set(self, "point", point)
-        _set(self, "ray", ray)
+    __slots__ = ()
 
 
 def _solve_square(mat: list[tuple[Fraction, ...]], rhs: list[Fraction]) -> tuple[Fraction, ...] | None:
@@ -234,24 +229,20 @@ def oracle_solve_extended(p: ExtendedLP) -> Optimum:
     return Optimum(res.value)
 
 
-class GenConfig(_Record):
+class GenConfig(_Record, namedtuple("GenConfig", "rows cols magnitude infinity_prob seed max_attempts", defaults=(3, 0.25, 0, 10000))):
     """Shape, entry distribution and seed for :func:`gen_valid_elp`."""
 
-    __slots__ = __match_args__ = ("rows", "cols", "magnitude", "infinity_prob", "seed", "max_attempts")
+    __slots__ = ()
 
-    def __init__(self, rows, cols, magnitude=3, infinity_prob=0.25, seed=0, max_attempts=10000):
-        if rows < 1 or cols < 1:
-            raise ScaleLimitError(f"generator needs at least one row and one column, got {rows}x{cols}")
-        if magnitude < 0:
-            raise ScaleLimitError(f"negative magnitude {magnitude}")
-        if not 0 <= infinity_prob <= 1:
-            raise ScaleLimitError(f"infinity_prob {infinity_prob} outside [0, 1]")
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "magnitude", magnitude)
-        _set(self, "infinity_prob", infinity_prob)
-        _set(self, "seed", seed)
-        _set(self, "max_attempts", max_attempts)
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        if cfg.rows < 1 or cfg.cols < 1:
+            raise ScaleLimitError(f"generator needs at least one row and one column, got {cfg.rows}x{cfg.cols}")
+        if cfg.magnitude < 0:
+            raise ScaleLimitError(f"negative magnitude {cfg.magnitude}")
+        if not 0 <= cfg.infinity_prob <= 1:
+            raise ScaleLimitError(f"infinity_prob {cfg.infinity_prob} outside [0, 1]")
+        return cfg
 
 
 def gen_valid_elp(cfg: GenConfig) -> ValidELP:

@@ -591,12 +591,16 @@ def reference_validity(a, b, c) -> dict:
     }
 
 
-def reference_masks(a, b):
+def reference_masks(a, b, c):
     """``infinity_masks`` as its docstring states it, scanned entry by entry."""
     live = [i for i in range(a.nrows) if not b[i].is_top and not any(e.is_bot for e in a[i])]
     if any(b[i].is_bot for i in live):
         return None
-    return live, [j for j in range(a.ncols) if not any(a[i][j].is_top for i in live)]
+    bot_cost = any(e.is_bot for e in c)
+    # a top cost forces its column to zero unless a bot cost pins every value; a system has no cost
+    top_cost = [not bot_cost and e.is_top for e in c] or [False] * a.ncols
+    keep = [j for j in range(a.ncols) if not any(a[i][j].is_top for i in live) and not top_cost[j]]
+    return live, keep, bot_cost
 
 
 def test_the_placement_logic_matches_per_entry_scans():
@@ -611,13 +615,15 @@ def test_the_placement_logic_matches_per_entry_scans():
             assert validate(ExtendedLP(a, b, c)).as_dict() == expected, (a, b, c)
             system = {k: expected[k] for k in ("mixed_row", "mixed_col", "top_row_top_rhs", "bot_row_bot_rhs")}
             assert farkas_module.system_preconditions(a, b) == {k: v for k, v in system.items() if v}, (a, b)
-            assert farkas_module.infinity_masks(a.bots, a.tops, b, a.ncols) == reference_masks(a, b), (a, b)
+            assert farkas_module.infinity_masks(a.bots, a.tops, b, c, a.ncols) == reference_masks(a, b, c), (a, b, c)
+            # a system has no cost
+            assert farkas_module.infinity_masks(a.bots, a.tops, b, (), a.ncols) == reference_masks(a, b, ()), (a, b)
             seen["invalid"] += any(expected.values())
             seen["several"] += any(len(v) > 1 for v in expected.values())
             seen["later"] += any(v and v[0] > 0 for v in expected.values())
         # the dual's placement read off A: its tops and bots, each (i, j) as (j, i)
         dual_bots, dual_tops = [(j, i) for i, j in p.A.tops], [(j, i) for i, j in p.A.bots]
-        swapped = farkas_module.infinity_masks(dual_bots, dual_tops, p.c, p.A.nrows)
-        assert swapped == reference_masks(neg_transpose(p.A), p.c), p
+        swapped = farkas_module.infinity_masks(dual_bots, dual_tops, p.c, p.b, p.A.nrows)
+        assert swapped == reference_masks(neg_transpose(p.A), p.c, p.b), p
     # most programs break a condition, and many at several or later indices
     assert seen["invalid"] > 2100 and min(seen.values()) >= 200, seen

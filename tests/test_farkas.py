@@ -317,6 +317,16 @@ def test_solve_extended_takes_a_list_of_right_hand_sides():
     assert solve_extended(a, ["bot", 0]) == solve_extended(a, ExtVector(["bot", 0]))
 
 
+def test_the_extended_solver_and_verifiers_take_a_list_of_rows():
+    for rows, b in (([[1, 2]], [1]), ([[1, 1]], [-1]), ([["top", -1], [1, 1]], ["bot", 0])):
+        assert solve_extended(rows, b) == solve_extended(ExtMatrix(rows), b)
+    assert verify_primal_ext([[1, 2]], [1], [0, 0]) and not verify_primal_ext([[1, 2]], [1], [1, 1])
+    assert verify_dual_ext([[1, 2]], [-1], [1]) and not verify_dual_ext([[1, 2]], [1], [1])
+    for call, witness in ((solve_extended, ()), (verify_primal_ext, ([0, 0],)), (verify_dual_ext, ([0, 0],))):
+        with pytest.raises(DimensionError, match="1 rows vs 2 rhs entries"):
+            call([[1, 2]], [1, 2], *witness)
+
+
 def test_verify_dual_ext_builds_no_transpose(monkeypatch):
     calls = []
 

@@ -1,5 +1,6 @@
-"""The result and input records: each compares, hashes, prints and refuses
-assignment as the frozen dataclass it replaces did."""
+"""The result and input records, each a named tuple: a record equals only a
+record of its own class, never a plain tuple, hashes and prints its fields,
+refuses assignment and keeps its constructor's checks."""
 
 from fractions import Fraction
 
@@ -77,6 +78,9 @@ def test_equal_fields_compare_and_hash_equal(record, same, other, text):
     assert len({record, same, other}) == 2
     assert record != other and not record == other
     assert record != text and record is not None
+    # a record is a tuple, yet never equals the plain tuple of its fields
+    plain = tuple(getattr(record, name) for name in type(record).__match_args__)
+    assert record != plain and plain != record and not record == plain
 
 
 @pytest.mark.parametrize("record,same,other,text", RECORDS, ids=IDS)
