@@ -228,7 +228,7 @@ def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) ->
 def _farkas_preconditions(a: ExtMatrix, b: ExtVector, mode: str) -> dict[str, tuple[int, ...]]:
     if mode == "ext":
         return {}
-    rows = {i for i, _ in a.bots + a.tops} | {i for i, e in enumerate(b) if not e.is_finite}
+    rows = {i for i, _ in a.bots + a.tops}.union(b.bots, b.tops)
     return {"finite_entries": tuple(sorted(rows))} if rows else {}
 
 

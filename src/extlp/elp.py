@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
 )
-from .extfield import BOT, TOP, ZERO, ExtValue, as_ext, as_rational
+from .extfield import BOT, TOP, ZERO, ExtValue, _neg_q, as_ext, as_rational
 from .extlinalg import ExtMatrix, ExtVector, dot_weig, neg_transpose, rat_vector
 from .farkas import (
     BOT_ROW_BOT_RHS,
@@ -152,8 +153,12 @@ def validate(p: ExtendedLP) -> ValidityReport:
     """
     a, c = p.A, p.c
     found = system_preconditions(a, p.b)
-    found[TOP_COL_BOT_COST] = tuple(sorted({j for _, j in a.tops if c[j].is_bot}))
-    found[BOT_COL_TOP_COST] = tuple(sorted({j for _, j in a.bots if c[j].is_top}))
+    if a.tops and c.bots:
+        top_cols = {j for _, j in a.tops}
+        found[TOP_COL_BOT_COST] = tuple([j for j in c.bots if j in top_cols])
+    if a.bots and c.tops:
+        bot_cols = {j for _, j in a.bots}
+        found[BOT_COL_TOP_COST] = tuple([j for j in c.tops if j in bot_cols])
     return ValidityReport(*[found.get(name, ()) for name in CONDITIONS])
 
 
@@ -253,7 +258,7 @@ def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | 
         sub = [tuple([r[j]._q for j in keep]) for r in rows]
     else:
         rows = [a.rows[i].entries for i in keep]
-        sub = [tuple([-r[j]._q for r in rows]) for j in live]
+        sub = [tuple([_neg_q(r[j]._q) for r in rows]) for j in live]
     b, c = b.entries, c.entries
     rhs = [b[i]._q for i in live]
     if bot_cost:
@@ -269,41 +274,31 @@ def _dual_kept(a: ExtMatrix, b: ExtVector, c: ExtVector) -> tuple | Optimum:
     return infinity_masks([(j, i) for i, j in a.tops], [(j, i) for i, j in a.bots], c, b, a.nrows) or Optimum(TOP)
 
 
-def _combine(vectors: list, weights: list[int], size: int) -> tuple[list[int], int]:
-    """``sum_k weights[k] * vectors[k]`` for Fraction vectors of length
-    ``size``, as integer numerators over the lcm of their denominators."""
-    ratios = [[v.as_integer_ratio() for v in vec] for vec in vectors]
-    den = lcm(*[q for vec in ratios for _, q in vec])
-    ints = [[p * (den // q) * w for p, q in vec] for vec, w in zip(ratios, weights)]
-    return [sum(col) for col in zip(*ints)] or [0] * size, den
-
-
 def _check_pair(a: list, b: list, c: list, x: tuple, y: tuple) -> Fraction:
     """``c . x`` for the integer pair ``x = (xs, dx)``, ``y = (ys, dy)``, read
     as ``xs / dx`` and ``ys / dy``, once both have the program's shape and a
     positive denominator and ``x >= 0``, ``A x <= b``, ``y >= 0``, ``-A^T y <= c``
-    and ``c . x + b . y == 0`` hold, else TheoremViolationError.  The columns
-    of ``(A; c)`` on the support of ``x`` and the rows of ``(A | b)`` on that of
-    ``y`` are cleared of denominators, and only ints are compared; of the
-    solve, only the returned pair goes in."""
+    and ``c . x + b . y == 0`` hold, else TheoremViolationError.  One lcm
+    clears ``(A | b ; c | 0)`` of denominators, and only ints are compared, a
+    row against ``x`` and a column against ``y``; of the solve, only the
+    returned pair goes in."""
     (xs, dx), (ys, dy) = x, y
     if not (dx > 0 and dy > 0 and len(xs) == len(c) and len(ys) == len(b)):
         raise TheoremViolationError("two-phase solve returned a pair of the wrong shape or denominator")
-    sx = [j for j, v in enumerate(xs) if v]
-    sy = [i for i, v in enumerate(ys) if v]
-    ax, lx = _combine([[row[j] for row in a] + [c[j]] for j in sx], [xs[j] for j in sx], len(b) + 1)
-    lx *= dx
-    rows = (s * q > p * lx for s, (p, q) in zip(ax, [t.as_integer_ratio() for t in b]))
-    if min(xs, default=0) < 0 or any(rows):
+    w = len(c) + 1
+    ratios = [v.as_integer_ratio() for row, t in zip(a, b) for v in (*row, t)] + [v.as_integer_ratio() for v in c]
+    den = lcm(*[q for _, q in ratios])
+    ints = [p * (den // q) for p, q in ratios] + [0]
+    rows = [ints[k : k + w] for k in range(0, len(ints), w)]
+    if min(xs, default=0) < 0 or any([sum(map(mul, r, xs)) > r[-1] * dx for r in rows[:-1]]):
         raise TheoremViolationError("two-phase solve returned an infeasible primal optimum")
-    ay, ly = _combine([list(a[i]) + [b[i]] for i in sy], [ys[i] for i in sy], len(c) + 1)
-    ly *= dy
-    cols = (-s * q > p * ly for s, (p, q) in zip(ay, [t.as_integer_ratio() for t in c]))
-    if min(ys, default=0) < 0 or any(cols):
+    cols = list(zip(*rows))
+    if min(ys, default=0) < 0 or any([-sum(map(mul, k, ys)) > k[-1] * dy for k in cols[:-1]]):
         raise TheoremViolationError("two-phase solve returned an infeasible dual optimum")
-    if ax[-1] * ly + ay[-1] * lx:
-        raise TheoremViolationError(f"optimum pair has value sum {Fraction(ax[-1], lx) + Fraction(ay[-1], ly)}, expected 0")
-    return Fraction(ax[-1], lx)
+    cx, by = sum(map(mul, rows[-1], xs)), sum(map(mul, cols[-1], ys))
+    if cx * dy + by * dx:
+        raise TheoremViolationError(f"optimum pair has value sum {Fraction(cx, den * dx) + Fraction(by, den * dy)}, expected 0")
+    return Fraction(cx, den * dx)
 
 
 def _decide(residual: Optimum | tuple) -> tuple[Optimum, Optimum | None]:

@@ -108,7 +108,7 @@ class ExtValue:
             return TOP
         if self._tag == _TOP:
             return BOT
-        return _ext(_FIN, -self._q)
+        return _ext(_FIN, _neg_q(self._q))
 
     def __eq__(self, other):
         if not isinstance(other, ExtValue):
@@ -162,6 +162,14 @@ def _ext(tag: int, q: Fraction | None) -> ExtValue:
     return v
 
 
+def _neg_q(q: Fraction) -> Fraction:
+    """``-q`` from ``q``'s coprime numerator and denominator, not re-normalised
+    by ``Fraction.__new__`` as ``-q`` is (``Fraction._from_coprime_ints`` on 3.12+)."""
+    r = object.__new__(Fraction)
+    r._numerator, r._denominator = -q._numerator, q._denominator
+    return r
+
+
 BOT = _ext(_BOT, None)
 TOP = _ext(_TOP, None)
 ZERO = ExtValue(0)
@@ -206,13 +214,15 @@ def smul_nn(scale, v: ExtValue) -> ExtValue:
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse ``p/q``, integer or decimal literals exactly, with no ``_``; an
-    exponent over Python's limit on int digits (0 for none) is refused unbuilt."""
+    """Parse ``p/q``, integer or decimal literals exactly, in ASCII with no
+    ``_``; an exponent over Python's limit on int digits (0 for none) is
+    refused unbuilt."""
     t = token.strip()
     try:
-        if "_" in t:  # Fraction takes digit separators from Python 3.11 on
-            raise ValueError(f"Invalid literal for Fraction: {t!r}")
         exp = t.lower().partition("e")[2]
+        # Fraction takes digit separators from Python 3.11 on, and any Unicode digit
+        if "_" in t or not t.isascii() or exp and not exp[exp[0] in "+-" :].isdigit():
+            raise ValueError(f"Invalid literal for Fraction: {t!r}")
         limit = exp and getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit before 3.10.7
         if limit and abs(int(exp)) > limit:
             raise ValueError(f"exponent exceeds the limit ({limit}) for integer string conversion")

@@ -34,16 +34,34 @@ __all__ = [
 
 
 class ExtVector:
-    """Immutable vector of extended values; entries coerce via ``as_ext``."""
+    """Immutable vector of extended values; entries coerce via ``as_ext``.
 
-    __slots__ = ("_entries",)
+    ``bots`` and ``tops`` index the endpoints once, at construction: the
+    positions of the bot and of the top entries, ascending, ``()`` for an
+    all-finite vector.
+    """
+
+    __slots__ = ("_entries", "_bots", "_tops")
 
     def __init__(self, entries: Iterable):
-        self._entries = tuple(as_ext(e) for e in entries)
+        self._entries = es = tuple([as_ext(e) for e in entries])
+        bots, tops = [], []
+        for j, e in enumerate(es):
+            if e._tag:
+                (bots if e._tag < 0 else tops).append(j)
+        self._bots, self._tops = tuple(bots), tuple(tops)
 
     @property
     def entries(self) -> tuple[ExtValue, ...]:
         return self._entries
+
+    @property
+    def bots(self) -> tuple[int, ...]:
+        return self._bots
+
+    @property
+    def tops(self) -> tuple[int, ...]:
+        return self._tops
 
     def __len__(self):
         return len(self._entries)
@@ -66,10 +84,11 @@ class ExtVector:
         return f"ExtVector([{', '.join(str(e) for e in self._entries)}])"
 
 
-def _vector(entries: tuple) -> ExtVector:
-    """An :class:`ExtVector` on a tuple of extended values: nothing is coerced."""
+def _vector(entries: tuple, bots: tuple, tops: tuple) -> ExtVector:
+    """An :class:`ExtVector` on a tuple of extended values and its endpoint
+    index: nothing is coerced or scanned."""
     v = object.__new__(ExtVector)
-    v._entries = entries
+    v._entries, v._bots, v._tops = entries, bots, tops
     return v
 
 
@@ -78,9 +97,9 @@ class ExtMatrix:
 
     ``M[i]`` is the full i-th row (an :class:`ExtVector`), so entries read
     ``M[i][j]``.  An explicit ``ncols`` is required when there are no rows.
-    ``bots`` and ``tops`` index the endpoints once, at construction: the
-    ``(i, j)`` positions of the bot and of the top entries, in row-major
-    order, ``()`` for an all-finite matrix.
+    ``bots`` and ``tops`` index the endpoints: the ``(i, j)`` positions of
+    the bot and of the top entries, in row-major order, ``()`` for an
+    all-finite matrix, read once off the rows' own indexes.
     """
 
     __slots__ = ("_rows", "_ncols", "_bots", "_tops")
@@ -90,8 +109,7 @@ class ExtMatrix:
         self._ncols = row_width(self._rows, ncols)
         if self._ncols is None:
             raise DimensionError("a matrix with no rows needs an explicit ncols")
-        self._bots = tuple((i, j) for i, r in enumerate(self._rows) for j, e in enumerate(r) if e.is_bot)
-        self._tops = tuple((i, j) for i, r in enumerate(self._rows) for j, e in enumerate(r) if e.is_top)
+        self._bots, self._tops = _cells(self._rows)
 
     @property
     def nrows(self) -> int:
@@ -139,11 +157,17 @@ class ExtMatrix:
         return f"ExtMatrix({self.nrows}x{self.ncols}: {body})"
 
 
-def _matrix(rows: tuple, ncols: int, bots: tuple, tops: tuple) -> ExtMatrix:
-    """An :class:`ExtMatrix` on :class:`ExtVector` rows of width ``ncols`` and
-    their endpoint index: nothing is coerced, checked or scanned."""
+def _cells(rows: tuple) -> tuple[tuple, tuple]:
+    """The ``(i, j)`` positions of the bots and of the tops of ``rows``, off their indexes."""
+    return tuple((i, j) for i, r in enumerate(rows) for j in r._bots), tuple((i, j) for i, r in enumerate(rows) for j in r._tops)
+
+
+def _matrix(rows: tuple, ncols: int) -> ExtMatrix:
+    """An :class:`ExtMatrix` on :class:`ExtVector` rows of width ``ncols``:
+    nothing is coerced or checked, and the index is read off the rows'."""
     m = object.__new__(ExtMatrix)
-    m._rows, m._ncols, m._bots, m._tops = rows, ncols, bots, tops
+    m._rows, m._ncols = rows, ncols
+    m._bots, m._tops = _cells(rows)
     return m
 
 
@@ -180,17 +204,19 @@ def neg_transpose(m: ExtMatrix) -> ExtMatrix:
     """Entrywise-negated transpose: result[j][i] = -m[i][j].  An involution.
 
     Built from ``m``'s entries and index, which need no second check: the
-    result has ``m.nrows`` columns, and its endpoint index is ``m``'s, its
-    bots at ``m``'s tops and its tops at ``m``'s bots, each ``(i, j)`` read
-    as ``(j, i)`` and sorted to row-major order.
+    result has ``m.nrows`` columns, and row ``j`` has its bots where column
+    ``j`` of ``m`` has its tops and its tops where that has its bots, each
+    read off ``m``'s row-major index in ascending ``i``.
     """
-    cols = zip(*(r._entries for r in m._rows)) if m._rows else [()] * m._ncols
-    return _matrix(
-        tuple(_vector(tuple([-e for e in col])) for col in cols),
-        len(m._rows),
-        tuple(sorted((j, i) for i, j in m._tops)),
-        tuple(sorted((j, i) for i, j in m._bots)),
-    )
+    n = m._ncols
+    cols = zip(*(r._entries for r in m._rows)) if m._rows else [()] * n
+    bots, tops = [()] * n, [()] * n
+    for i, j in m._tops:
+        bots[j] += (i,)
+    for i, j in m._bots:
+        tops[j] += (i,)
+    rows = tuple(_vector(tuple([-e for e in col]), rb, rt) for col, rb, rt in zip(cols, bots, tops))
+    return _matrix(rows, len(m._rows))
 
 
 def row_width(rows: Sequence[Sequence], ncols: int | None) -> int | None:

@@ -239,7 +239,9 @@ def _simplex(
     ``b[i] >= 0``), or an artificial, and phase 1 minimizes their sum.
     ``tab`` holds integers over one positive common denominator ``den``: the
     rows, the phase-1 reduced costs, whose right-hand side is ``-den`` times
-    the objective, and the cost.
+    the objective, and the cost.  A system with ``slack`` and ``b >= 0``
+    needs no tableau: every row starts on its slack, phase 1 has no work,
+    and it is "optimal" at ``x = 0`` with no pivots, as Bland's rule ends.
 
     Returns ``_Run(status, x, y, ray, pivots)``, ``x`` and ``y`` as
     ``(numerators, denominator)`` or None, and the pivots of each phase.  A
@@ -254,13 +256,15 @@ def _simplex(
     ``cost . ray < 0`` off the column no row blocks.
     """
     d = len(b)
-    ratios = [[v.as_integer_ratio() for v in row] for row in a]
-    scale = [lcm(*[q for _, q in col]) for col in zip(*ratios)] if d else [1] * ncols
     rhs = [t.as_integer_ratio() for t in b]
     lb = lcm(*[q for _, q in rhs])
     sign = [-1 if t < 0 else 1 for t, _ in rhs]
-    body = [[p * (s // q) for (p, q), s in zip(row, scale)] for row in ratios]
-    body = [[-v for v in row] if sg < 0 else row for row, sg in zip(body, sign)]
+    if cost is None and slack and -1 not in sign:
+        # the slack basis is feasible: phase 1 has no work, and x = 0
+        return _Run("optimal", ((0,) * ncols, lb), None, None, (0, 0))
+    ratios = [[v.as_integer_ratio() for v in row] for row in a]
+    scale = [lcm(*[q for _, q in col]) for col in zip(*ratios)] if d else [1] * ncols
+    body = [[sg * p * (s // q) for (p, q), s in zip(row, scale)] for row, sg in zip(ratios, sign)]
     n = ncols + d * slack
     x0 = n - ncols if cost is None else 0  # the first column of A
     units = {}
@@ -273,10 +277,11 @@ def _simplex(
             start[i] = i if cost is None else units.get(i, ncols + i)
     artificial = [i for i, j in enumerate(start) if j is None]
     m = len(artificial)
-    tab = []
-    for i, (row, (t, q), sg) in enumerate(zip(body, rhs, sign)):
-        unit = [0] * i + [sg] + [0] * (d - i - 1) if slack else []
-        tab.append((unit + row if cost is None else row + unit) + [0] * m + [abs(t) * (lb // q)])
+    pad, s0 = [0] * (n - ncols), 0 if x0 else ncols  # the slack block, and its first column
+    tab = [(pad + row if x0 else row + pad) + [0] * m + [abs(t) * (lb // q)] for row, (t, q) in zip(body, rhs)]
+    if slack:
+        for i, sg in enumerate(sign):
+            tab[i][s0 + i] = sg
     for k, i in enumerate(artificial):
         start[i] = n + k
         tab[i][n + k] = 1
@@ -367,7 +372,7 @@ def solve_program(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Seq
     for the dual ``-A^T y <= c``, so ``c . x + b . y == 0``, as integers
     ``((xs, dx), (ys, dy))``: ``x = xs / dx`` and ``y = ys / dy``, ``dx, dy > 0``.
     DimensionError unless ``A`` has ``len(b)`` rows of ``len(c)`` entries."""
-    if len(a) != len(b) or any(len(row) != len(c) for row in a):
+    if len(a) != len(b) or not {len(c)}.issuperset(map(len, a)):
         raise DimensionError(f"A must be {len(b)}x{len(c)}: a row per entry of b, a column per entry of c")
     run = _simplex(a, b, len(c), True, c)
     return TOP if run.status == "infeasible" else BOT if run.status == "unbounded" else (run.x, run.y)
@@ -384,8 +389,8 @@ def system_preconditions(a: ExtMatrix, b: ExtVector) -> dict[str, tuple[int, ...
 
     Keys are condition names, values the offending row/column indices in
     ascending order; only violated conditions appear.  They are read off
-    the endpoint index ``a.bots`` / ``a.tops`` and ``b``: an all-finite
-    ``A`` violates none.
+    the endpoint indexes of ``a`` and ``b``: an all-finite ``A`` violates
+    none.
     """
     if not a.bots and not a.tops:
         return {}
@@ -393,20 +398,22 @@ def system_preconditions(a: ExtMatrix, b: ExtVector) -> dict[str, tuple[int, ...
     found = (
         (MIXED_ROW, bot_rows & top_rows),
         (MIXED_COL, {j for _, j in a.bots} & {j for _, j in a.tops}),
-        (TOP_ROW_TOP_RHS, {i for i in top_rows if b[i].is_top}),
-        (BOT_ROW_BOT_RHS, {i for i in bot_rows if b[i].is_bot}),
+        (TOP_ROW_TOP_RHS, top_rows.intersection(b.tops)),
+        (BOT_ROW_BOT_RHS, bot_rows.intersection(b.bots)),
     )
     return {name: tuple(sorted(idx)) for name, idx in found if idx}
 
 
-def infinity_masks(bots: Sequence, tops: Sequence, b: ExtVector, c: Sequence, ncols: int) -> tuple[list[int], list[int], bool] | None:
+def infinity_masks(bots: Sequence, tops: Sequence, b: ExtVector, c: ExtVector | tuple, ncols: int) -> tuple[list[int], list[int], bool] | None:
     """The rows of ``A x <= b`` that can fail, the columns left free, and
     whether the cost ``c`` has a bot; a system passes ``()`` as its cost.
 
     ``A`` comes as its endpoint index, the ``(i, j)`` positions of its bot
     and of its top entries in any order, and has ``len(b)`` rows and
     ``ncols`` columns: ``A.bots`` and ``A.tops`` for a matrix, ``A``'s tops
-    and bots with each ``(i, j)`` read as ``(j, i)`` for ``-A^T``.
+    and bots with each ``(i, j)`` read as ``(j, i)`` for ``-A^T``.  ``b``
+    and ``c`` come as vectors and are read only through their endpoint
+    indexes, so the masks are set algebra on positions.
 
     A row holds for every ``x`` when it carries a bot in ``A`` (its value is
     pinned to bot) or has a top right-hand side; the others are live.  A top
@@ -416,15 +423,15 @@ def infinity_masks(bots: Sequence, tops: Sequence, b: ExtVector, c: Sequence, nc
     and the columns nothing forces, or None when a live row has a bot
     right-hand side, which no all-finite row value can meet.
     """
-    bot_rows = {i for i, _ in bots}
-    live = [i for i in range(len(b)) if not b[i].is_top and i not in bot_rows]
-    if any(b[i].is_bot for i in live):
+    held = {i for i, _ in bots}.union(b.tops)
+    if not held.issuperset(b.bots):
         return None
-    bot_cost = any(e.is_bot for e in c)
-    forced = {j for i, j in tops if i not in bot_rows and not b[i].is_top}
+    bot_cost, top_cost = (c.bots, c.tops) if c else ((), ())
+    forced = {j for i, j in tops if i not in held}
     if not bot_cost:
-        forced.update(j for j, e in enumerate(c) if e.is_top)
-    return live, [j for j in range(ncols) if j not in forced], bot_cost
+        forced.update(top_cost)
+    live = [i for i in range(len(b)) if i not in held]
+    return live, [j for j in range(ncols) if j not in forced], bool(bot_cost)
 
 
 def _ext_system(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> tuple[ExtMatrix, ExtVector]:

@@ -138,6 +138,26 @@ PARSE_ERRORS = [
         "line 4: bad rational literal '1_000': Invalid literal for Fraction: '1_000'",
         id="digit_separator",
     ),
+    pytest.param(
+        "rows 1\ncols 1\nA\n\u0661\u0662\nb\n0\n",
+        "line 4: bad rational literal '\u0661\u0662': Invalid literal for Fraction: '\u0661\u0662'",
+        id="arabic_indic_digits",
+    ),
+    pytest.param(
+        "rows 1\ncols 1\nA\n1\nb\n\uff11\n",
+        "line 6: bad rational literal '\uff11': Invalid literal for Fraction: '\uff11'",
+        id="full_width_digit",
+    ),
+    pytest.param(
+        "rows 1\ncols 1\nA\n1e+\nb\n0\n",
+        "line 4: bad rational literal '1e+': Invalid literal for Fraction: '1e+'",
+        id="exponent_without_digits",
+    ),
+    pytest.param(
+        "rows 1\ncols 1\nA\n1\nb\n1ee5\n",
+        "line 6: bad rational literal '1ee5': Invalid literal for Fraction: '1ee5'",
+        id="double_exponent",
+    ),
     pytest.param("rows 1\ncolumns 1\n", "line 2: expected 'rows N' or 'cols N', got 'columns 1'", id="header"),
     pytest.param("rows one\ncols 1\n", "line 1: bad count 'one'", id="bad_count"),
     pytest.param("rows 1\ncols 0\n", "line 2: cols must be at least 1", id="count_below_one"),

@@ -37,6 +37,7 @@ from extlp import (
 )
 from extlp import elp as elp_module
 from extlp import farkas as farkas_module
+from extlp.cli import format_program, parse_program_text
 from extlp.extlinalg import neg_transpose, rat_dot
 from extlp.farkas import verify_primal_ineq
 from extlp.oracle import oracle_feasible_point
@@ -603,6 +604,17 @@ def reference_masks(a, b, c):
     return live, keep, bot_cost
 
 
+def assert_indexed(a, b, c):
+    """The endpoint index of ``A``, of each of its rows, of ``b`` and of ``c``
+    against a per-entry scan."""
+    cells = [(i, j) for i in range(a.nrows) for j in range(a.ncols)]
+    assert a.bots == tuple(ij for ij in cells if a[ij[0]][ij[1]].is_bot), a
+    assert a.tops == tuple(ij for ij in cells if a[ij[0]][ij[1]].is_top), a
+    for v in (*a.rows, b, c):
+        assert v.bots == tuple(j for j, e in enumerate(v) if e.is_bot), v
+        assert v.tops == tuple(j for j, e in enumerate(v) if e.is_top), v
+
+
 def test_the_placement_logic_matches_per_entry_scans():
     rng = random.Random(9)
     seen = {"invalid": 0, "several": 0, "later": 0}
@@ -610,6 +622,12 @@ def test_the_placement_logic_matches_per_entry_scans():
     # where a set of small ints happens to iterate in ascending order
     for size in [5] * 2000 + [12] * 100:
         p = random_extended_program(rng, size=size, drawn=0.525)
+        # vectors built by ExtVector(...) and as rows of ExtMatrix (p is built
+        # from lists), by neg_transpose and by the parser
+        parsed = parse_program_text(format_program(p.A, p.b, p.c))
+        assert parsed == (p.A, p.b, p.c)
+        for a, b, c in ((p.A, p.b, p.c), (neg_transpose(p.A), p.c, p.b), parsed):
+            assert_indexed(a, b, c)
         for a, b, c in ((p.A, p.b, p.c), (neg_transpose(p.A), p.c, p.b)):
             expected = reference_validity(a, b, c)
             assert validate(ExtendedLP(a, b, c)).as_dict() == expected, (a, b, c)

@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -125,6 +126,24 @@ def test_computed_values_equal_constructed_ones(p, q):
 def test_neg_involution():
     for v in sample_values(50):
         assert -(-v) == v
+
+
+def test_negation_is_canonical():
+    # -v reuses v's coprime numerator and denominator without re-normalising;
+    # the result must be the Fraction that -q builds, in lowest terms
+    rng = random.Random(19)
+    qs = [Fraction(0), Fraction(-1), Fraction(2**64 + 1), Fraction(-(2**70), 3), Fraction(7, 2**65)]
+    for _ in range(600):
+        num = rng.choice([rng.randint(-99, 99), rng.randint(-(2**70), 2**70)])
+        den = rng.choice([1, rng.randint(1, 60), rng.randint(2**64, 2**66)])
+        qs.append(Fraction(num, den))
+    for q in qs:
+        got, want = -ExtValue(q), ExtValue(-q)
+        assert got == want and hash(got) == hash(want)
+        r = got.finite_value
+        assert type(r) is Fraction and (r.numerator, r.denominator) == ((-q).numerator, (-q).denominator)
+        assert r.denominator > 0 and gcd(r.numerator, r.denominator) == 1
+        assert hash(r) == hash(-q) and str(r) == str(-q) and -r == q
 
 
 def test_neg_is_not_an_additive_inverse_at_endpoints():

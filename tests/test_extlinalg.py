@@ -26,8 +26,8 @@ from extlp import extlinalg
 from extlp.extlinalg import rat_dot, rat_mat_vec, rat_transpose, scatter
 
 
-def random_ext_vector(rng: random.Random, n: int) -> ExtVector:
-    pool = [BOT, TOP] + [finite(rng.randint(-9, 9)) for _ in range(4)]
+def random_ext_vector(rng: random.Random, n: int, extra: tuple = ()) -> ExtVector:
+    pool = [BOT, TOP, *extra] + [finite(rng.randint(-9, 9)) for _ in range(4)]
     return ExtVector([rng.choice(pool) for _ in range(n)])
 
 
@@ -137,11 +137,16 @@ def test_neg_transpose_entries():
 
 
 def test_neg_transpose_involution():
+    # each negation reuses a numerator and a denominator, some over 2**64;
+    # twice over, the matrix and its rows' indexes come back and hash alike
     rng = random.Random(5)
-    for _ in range(40):
+    big = [finite(Fraction(rng.randint(-(2**70), 2**70), rng.randint(1, 2**66))) for _ in range(3)]
+    for k in range(160):
         nr, nc = rng.randint(0, 4), rng.randint(0, 4)
-        m = ExtMatrix([random_ext_vector(rng, nc) for _ in range(nr)], ncols=nc)
-        assert neg_transpose(neg_transpose(m)) == m
+        m = ExtMatrix([random_ext_vector(rng, nc, big if k % 2 else ()) for _ in range(nr)], ncols=nc)
+        back = neg_transpose(neg_transpose(m))
+        assert back == m and hash(back) == hash(m)
+        assert [(r.bots, r.tops) for r in back] == [(r.bots, r.tops) for r in m]
 
 
 def test_neg_transpose_equals_a_rebuild_through_the_constructor():

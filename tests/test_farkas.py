@@ -520,6 +520,23 @@ def test_program_starts_on_a_unit_column_of_a_before_the_slack():
     assert fractions(out) == ((0, 3), (0, 0))
 
 
+def test_a_nonnegative_right_hand_side_starts_and_ends_on_the_slack_basis():
+    # every row starts on its slack, so phase 1 has nothing to do and the
+    # witness is x = 0 with no pivots, as Bland's rule ends from that start
+    rng = random.Random(23)
+    for _ in range(400):
+        a, b, n = fractional_system(rng, max_dim=5)
+        b = [abs(t) for t in b]
+        out = solve_inequality(a, b, ncols=n)
+        assert (out.x, out.y) == ((Fraction(0),) * n, None)
+        run = _simplex(a, b, n, True)
+        assert (run.status, run.x[0], run.pivots) == ("optimal", (0,) * n, (0, 0))
+    # one negative entry of b needs phase 1: x = 0 fails row 1
+    out = solve_inequality([[1, 1], [-1, 0]], [2, -1])
+    assert (out.x, out.y) == ((Fraction(1), Fraction(0)), None)
+    assert _simplex([[Fraction(1), Fraction(1)], [Fraction(-1), Fraction(0)]], [Fraction(2), Fraction(-1)], 2, True).pivots == (1, 0)
+
+
 # --- the run record ---
 
 
