@@ -5,6 +5,7 @@ The pieces, bottom to top:
 * :mod:`extlp.extfield` -- the extended carrier and its monoid arithmetic;
 * :mod:`extlp.extlinalg` -- vectors/matrices over it, weighted sums,
   negated transpose, and exact rational helpers;
+* :mod:`extlp.check` -- the answer checks, which import no solver;
 * :mod:`extlp.farkas` -- certificate-producing alternative solvers, from
   rational equality systems up to extended inequality systems;
 * :mod:`extlp.elp` -- extended programs, validity, duality, exact optima;
@@ -50,6 +51,14 @@ from .extlinalg import (
     neg_transpose,
     rat_vector,
 )
+from .check import (
+    verify_dual_eq,
+    verify_dual_ext,
+    verify_dual_ineq,
+    verify_primal_eq,
+    verify_primal_ext,
+    verify_primal_ineq,
+)
 from .farkas import (
     FarkasOutcome,
     dual_infeasibility_search,
@@ -58,12 +67,6 @@ from .farkas import (
     solve_extended,
     solve_inequality,
     system_preconditions,
-    verify_dual_eq,
-    verify_dual_ext,
-    verify_dual_ineq,
-    verify_primal_eq,
-    verify_primal_ext,
-    verify_primal_ineq,
 )
 from .elp import (
     CONDITIONS,

@@ -34,17 +34,7 @@ import sys
 from .errors import DomainError, LPFormatError, PreconditionError, ScaleLimitError, TheoremViolationError
 from .extfield import format_ext, parse_ext
 from .extlinalg import ExtMatrix, ExtVector
-from .elp import (
-    ExtendedLP,
-    dualize,
-    opposites_opt,
-    optimum_pair,
-    validate,
-)
-from .farkas import (
-    solve_equality,
-    solve_extended,
-    solve_inequality,
+from .check import (
     verify_dual_eq,
     verify_dual_ext,
     verify_dual_ineq,
@@ -52,6 +42,14 @@ from .farkas import (
     verify_primal_ext,
     verify_primal_ineq,
 )
+from .elp import (
+    ExtendedLP,
+    dualize,
+    opposites_opt,
+    optimum_pair,
+    validate,
+)
+from .farkas import solve_equality, solve_extended, solve_inequality
 
 __all__ = ["main", "parse_program_text", "format_program"]
 

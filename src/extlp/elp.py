@@ -26,17 +26,10 @@ and so require validity.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from math import lcm
-from operator import mul
 from typing import Sequence
 
-from .errors import (
-    DimensionError,
-    InvalidProgramError,
-    PreconditionError,
-    TheoremViolationError,
-)
+from .check import _check_pair, verify_primal_ext
+from .errors import DimensionError, InvalidProgramError, PreconditionError
 from .extfield import BOT, TOP, ZERO, ExtValue, _neg_q, as_ext, as_rational
 from .extlinalg import ExtMatrix, ExtVector, dot_weig, neg_transpose, rat_vector
 from .farkas import (
@@ -49,7 +42,6 @@ from .farkas import (
     infinity_masks,
     solve_program,
     system_preconditions,
-    verify_primal_ext,
 )
 
 __all__ = [
@@ -272,33 +264,6 @@ def _dual_kept(a: ExtMatrix, b: ExtVector, c: ExtVector) -> tuple | Optimum:
     the bots of ``A``, with ``(i, j)`` read as ``(j, i)``.
     """
     return infinity_masks([(j, i) for i, j in a.tops], [(j, i) for i, j in a.bots], c, b, a.nrows) or Optimum(TOP)
-
-
-def _check_pair(a: list, b: list, c: list, x: tuple, y: tuple) -> Fraction:
-    """``c . x`` for the integer pair ``x = (xs, dx)``, ``y = (ys, dy)``, read
-    as ``xs / dx`` and ``ys / dy``, once both have the program's shape and a
-    positive denominator and ``x >= 0``, ``A x <= b``, ``y >= 0``, ``-A^T y <= c``
-    and ``c . x + b . y == 0`` hold, else TheoremViolationError.  One lcm
-    clears ``(A | b ; c | 0)`` of denominators, and only ints are compared, a
-    row against ``x`` and a column against ``y``; of the solve, only the
-    returned pair goes in."""
-    (xs, dx), (ys, dy) = x, y
-    if not (dx > 0 and dy > 0 and len(xs) == len(c) and len(ys) == len(b)):
-        raise TheoremViolationError("two-phase solve returned a pair of the wrong shape or denominator")
-    w = len(c) + 1
-    ratios = [v.as_integer_ratio() for row, t in zip(a, b) for v in (*row, t)] + [v.as_integer_ratio() for v in c]
-    den = lcm(*[q for _, q in ratios])
-    ints = [p * (den // q) for p, q in ratios] + [0]
-    rows = [ints[k : k + w] for k in range(0, len(ints), w)]
-    if min(xs, default=0) < 0 or any([sum(map(mul, r, xs)) > r[-1] * dx for r in rows[:-1]]):
-        raise TheoremViolationError("two-phase solve returned an infeasible primal optimum")
-    cols = list(zip(*rows))
-    if min(ys, default=0) < 0 or any([-sum(map(mul, k, ys)) > k[-1] * dy for k in cols[:-1]]):
-        raise TheoremViolationError("two-phase solve returned an infeasible dual optimum")
-    cx, by = sum(map(mul, rows[-1], xs)), sum(map(mul, cols[-1], ys))
-    if cx * dy + by * dx:
-        raise TheoremViolationError(f"optimum pair has value sum {Fraction(cx, den * dx) + Fraction(by, den * dy)}, expected 0")
-    return Fraction(cx, den * dx)
 
 
 def _decide(residual: Optimum | tuple) -> tuple[Optimum, Optimum | None]:

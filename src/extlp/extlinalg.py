@@ -248,6 +248,16 @@ def _rational_system(a: Sequence[Sequence], b: Sequence, ncols: int | None) -> t
     return mat, rhs, row_width(mat, ncols) or 0
 
 
+def _ext_system(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> tuple[ExtMatrix, ExtVector]:
+    """``(A, b)`` as an :class:`ExtMatrix` and an :class:`ExtVector` with an
+    entry per row of ``A``, else DimensionError."""
+    a = a if isinstance(a, ExtMatrix) else ExtMatrix(a)
+    b = b if isinstance(b, ExtVector) else ExtVector(b)
+    if a.nrows != len(b):
+        raise DimensionError(f"{a.nrows} rows vs {len(b)} rhs entries")
+    return a, b
+
+
 def rat_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise DimensionError(f"rat_dot: {len(u)} vs {len(v)}")

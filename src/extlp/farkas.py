@@ -2,8 +2,8 @@
 
 Every solver returns a :class:`FarkasOutcome`: either a primal witness or a
 dual certificate, never both, never neither.  Witnesses are exact rational
-vectors and can be re-checked with the ``verify_*`` functions; the test
-suites do exactly that on every output.
+vectors; the ``verify_*`` functions of :mod:`extlp.check` re-check them,
+and the test suites do so on every output.
 
 The alternative, for rational functionals ``rows[0..n-1]`` and ``target``
 on Q^d, is between
@@ -31,21 +31,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .check import verify_dual_eq, verify_dual_ext, verify_dual_ineq, verify_primal_eq, verify_primal_ext, verify_primal_ineq
 from .errors import DimensionError, PreconditionError, TheoremViolationError
-from .extfield import BOT, TOP, ZERO, ExtValue
-from .extlinalg import (
-    ExtMatrix,
-    ExtVector,
-    _rational_system,
-    dot_weig,
-    le_vec,
-    mul_weig,
-    rat_dot,
-    rat_mat_vec,
-    rat_transpose,
-    rat_vector,
-    scatter,
-)
+from .extfield import BOT, TOP, ExtValue
+from .extlinalg import ExtMatrix, ExtVector, _ext_system, _rational_system, rat_dot, rat_transpose, rat_vector, scatter
 
 __all__ = [
     "FarkasOutcome",
@@ -58,12 +47,6 @@ __all__ = [
     "MIXED_COL",
     "TOP_ROW_TOP_RHS",
     "BOT_ROW_BOT_RHS",
-    "verify_primal_eq",
-    "verify_dual_eq",
-    "verify_primal_ineq",
-    "verify_dual_ineq",
-    "verify_primal_ext",
-    "verify_dual_ext",
     "dual_infeasibility_search",
 ]
 
@@ -434,16 +417,6 @@ def infinity_masks(bots: Sequence, tops: Sequence, b: ExtVector, c: ExtVector | 
     return live, [j for j in range(ncols) if j not in forced], bool(bot_cost)
 
 
-def _ext_system(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> tuple[ExtMatrix, ExtVector]:
-    """``(A, b)`` as an :class:`ExtMatrix` and an :class:`ExtVector` with an
-    entry per row of ``A``, else DimensionError."""
-    a = a if isinstance(a, ExtMatrix) else ExtMatrix(a)
-    b = b if isinstance(b, ExtVector) else ExtVector(b)
-    if a.nrows != len(b):
-        raise DimensionError(f"{a.nrows} rows vs {len(b)} rhs entries")
-    return a, b
-
-
 def solve_extended(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> FarkasOutcome:
     """Alternative for ``A x <= b`` with extended entries.
 
@@ -480,53 +453,6 @@ def solve_extended(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> FarkasOu
     if out.is_primal:
         return FarkasOutcome.primal(scatter(out.x, free, a.ncols))
     return FarkasOutcome.dual(scatter(out.y, live, a.nrows))
-
-
-def verify_primal_eq(a: Sequence[Sequence], b: Sequence, x: Sequence) -> bool:
-    """``x >= 0`` and ``A x == b`` over rationals."""
-    mat, rhs, _ = _rational_system(a, b, None)
-    xs = rat_vector(x)
-    return all(v >= 0 for v in xs) and rat_mat_vec(mat, xs) == rhs
-
-
-def verify_dual_eq(a: Sequence[Sequence], b: Sequence, y: Sequence) -> bool:
-    """``A^T y >= 0`` and ``b . y < 0`` over rationals; ``y`` may have any sign."""
-    mat, rhs, ncols = _rational_system(a, b, None)
-    ys = rat_vector(y)
-    return all(rat_dot(col, ys) >= 0 for col in rat_transpose(mat, ncols=ncols)) and rat_dot(rhs, ys) < 0
-
-
-def verify_primal_ineq(a: Sequence[Sequence], b: Sequence, x: Sequence) -> bool:
-    """``x >= 0`` and ``A x <= b`` over rationals."""
-    mat, rhs, _ = _rational_system(a, b, None)
-    xs = rat_vector(x)
-    return all(v >= 0 for v in xs) and all(l <= r for l, r in zip(rat_mat_vec(mat, xs), rhs))
-
-
-def verify_dual_ineq(a: Sequence[Sequence], b: Sequence, y: Sequence) -> bool:
-    """``y >= 0``, ``A^T y >= 0`` and ``b . y < 0`` over rationals."""
-    ys = rat_vector(y)
-    return verify_dual_eq(a, b, ys) and all(v >= 0 for v in ys)
-
-
-def verify_primal_ext(a: ExtMatrix | Sequence, b: ExtVector | Sequence, x: Sequence) -> bool:
-    """Finite ``x >= 0`` with ``mul_weig(A, x) <= b``."""
-    a, b = _ext_system(a, b)
-    xs = rat_vector(x)
-    if any(v < 0 for v in xs):
-        return False
-    return le_vec(mul_weig(a, xs), b)
-
-
-def verify_dual_ext(a: ExtMatrix | Sequence, b: ExtVector | Sequence, y: Sequence) -> bool:
-    """Finite ``y >= 0`` with ``mul_weig(-A^T, y) <= 0`` and ``dot_weig(b, y) < 0``;
-    each column of ``-A^T`` is read off ``A``'s rows."""
-    a, b = _ext_system(a, b)
-    ys = rat_vector(y)
-    if any(v < 0 for v in ys):
-        return False
-    cols = (dot_weig([-row[j] for row in a], ys) for j in range(a.ncols))
-    return all(v <= ZERO for v in cols) and dot_weig(b, ys) < ZERO
 
 
 def dual_infeasibility_search(a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:

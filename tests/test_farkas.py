@@ -27,6 +27,7 @@ from extlp import (
     verify_primal_ext,
     verify_primal_ineq,
 )
+from extlp import check as check_module
 from extlp import extlinalg as extlinalg_module
 from extlp import farkas as farkas_module
 from extlp.extlinalg import dot_weig, le_vec, mul_weig, neg_transpose, rat_transpose, rat_vector
@@ -68,13 +69,17 @@ def test_arity_mismatch_rejected():
         farkas_bartl([(1,), (2, 3)], (1, 2))
 
 
-@pytest.mark.parametrize("verify", [verify_primal_eq, verify_dual_eq, verify_primal_ineq, verify_dual_ineq])
+@pytest.mark.parametrize(
+    "verify", [verify_primal_eq, verify_dual_eq, verify_primal_ineq, verify_dual_ineq, verify_primal_ext, verify_dual_ext]
+)
 @pytest.mark.parametrize(
     "a, b, w",
     [
         ([[1], [10]], [5], [3]),  # row 1 has no right-hand side
         ([[1, 2], [1]], [1, -1], [1, 1]),  # ragged rows
         ([], [2], [1]),  # no rows, one right-hand side
+        ([[1, 2], [3, 4]], [5, 6], [1]),  # a witness one entry too short
+        ([[1, 2], [3, 4]], [5, 6], [1, 1, 1]),  # a witness one entry too long
     ],
 )
 def test_verifiers_reject_a_misshapen_system(verify, a, b, w):
@@ -334,7 +339,7 @@ def test_verify_dual_ext_builds_no_transpose(monkeypatch):
         calls.append(m.shape)
         return neg_transpose(m)
 
-    for module in (extlinalg_module, farkas_module):
+    for module in (extlinalg_module, farkas_module, check_module):
         monkeypatch.setattr(module, "neg_transpose", counted, raising=False)
     a, b = ext_system([["bot"], [0]], [0, -1])
     assert verify_dual_ext(a, b, (0, 1)) and not verify_dual_ext(a, b, (1, 0))
