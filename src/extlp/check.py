@@ -9,7 +9,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import TheoremViolationError
+from .errors import DimensionError, TheoremViolationError
 from .extfield import ZERO
 from .extlinalg import (ExtMatrix, ExtVector, _ext_system, _rational_system, dot_weig, le_vec, mul_weig,
                         rat_dot, rat_mat_vec, rat_transpose, rat_vector)
@@ -24,24 +24,34 @@ __all__ = [
 ]
 
 
+def _witness(w: Sequence, size: int | None) -> tuple[Fraction, ...]:
+    """``w`` as Fractions, else DimensionError unless it has ``size``
+    entries; a rational system with no rows has no width, so its ``size``
+    is None and any length passes.  Each check reads this before a sign."""
+    ws = rat_vector(w)
+    if size is not None and len(ws) != size:
+        raise DimensionError(f"witness has {len(ws)} entries, the system needs {size}")
+    return ws
+
+
 def verify_primal_eq(a: Sequence[Sequence], b: Sequence, x: Sequence) -> bool:
     """``x >= 0`` and ``A x == b`` over rationals."""
-    mat, rhs, _ = _rational_system(a, b, None)
-    xs = rat_vector(x)
+    mat, rhs, ncols = _rational_system(a, b, None)
+    xs = _witness(x, ncols if mat else None)
     return all(v >= 0 for v in xs) and rat_mat_vec(mat, xs) == rhs
 
 
 def verify_dual_eq(a: Sequence[Sequence], b: Sequence, y: Sequence) -> bool:
     """``A^T y >= 0`` and ``b . y < 0`` over rationals; ``y`` may have any sign."""
     mat, rhs, ncols = _rational_system(a, b, None)
-    ys = rat_vector(y)
+    ys = _witness(y, len(rhs))
     return all(rat_dot(col, ys) >= 0 for col in rat_transpose(mat, ncols=ncols)) and rat_dot(rhs, ys) < 0
 
 
 def verify_primal_ineq(a: Sequence[Sequence], b: Sequence, x: Sequence) -> bool:
     """``x >= 0`` and ``A x <= b`` over rationals."""
-    mat, rhs, _ = _rational_system(a, b, None)
-    xs = rat_vector(x)
+    mat, rhs, ncols = _rational_system(a, b, None)
+    xs = _witness(x, ncols if mat else None)
     return all(v >= 0 for v in xs) and all(l <= r for l, r in zip(rat_mat_vec(mat, xs), rhs))
 
 
@@ -54,7 +64,7 @@ def verify_dual_ineq(a: Sequence[Sequence], b: Sequence, y: Sequence) -> bool:
 def verify_primal_ext(a: ExtMatrix | Sequence, b: ExtVector | Sequence, x: Sequence) -> bool:
     """Finite ``x >= 0`` with ``mul_weig(A, x) <= b``."""
     a, b = _ext_system(a, b)
-    xs = rat_vector(x)
+    xs = _witness(x, a.ncols)
     if any(v < 0 for v in xs):
         return False
     return le_vec(mul_weig(a, xs), b)
@@ -64,7 +74,7 @@ def verify_dual_ext(a: ExtMatrix | Sequence, b: ExtVector | Sequence, y: Sequenc
     """Finite ``y >= 0`` with ``mul_weig(-A^T, y) <= 0`` and ``dot_weig(b, y) < 0``;
     each column of ``-A^T`` is read off ``A``'s rows."""
     a, b = _ext_system(a, b)
-    ys = rat_vector(y)
+    ys = _witness(y, a.nrows)
     if any(v < 0 for v in ys):
         return False
     cols = (dot_weig([-row[j] for row in a], ys) for j in range(a.ncols))

@@ -49,7 +49,7 @@ from .elp import (
     optimum_pair,
     validate,
 )
-from .farkas import solve_equality, solve_extended, solve_inequality
+from .farkas import solve_equality, solve_extended, solve_inequality, system_preconditions
 
 __all__ = ["main", "parse_program_text", "format_program"]
 
@@ -225,7 +225,7 @@ def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) ->
 
 def _farkas_preconditions(a: ExtMatrix, b: ExtVector, mode: str) -> dict[str, tuple[int, ...]]:
     if mode == "ext":
-        return {}
+        return system_preconditions(a, b)
     rows = {i for i, _ in a.bots + a.tops}.union(b.bots, b.tops)
     return {"finite_entries": tuple(sorted(rows))} if rows else {}
 
@@ -243,17 +243,13 @@ _FARKAS_MODES["ineq-neg"] = _FARKAS_MODES["ineq"]
 def _cmd_farkas(a: ExtMatrix, b: ExtVector, ctx: dict, as_json: bool, mode: str) -> tuple[str, int]:
     solve, verify_primal, verify_dual = _FARKAS_MODES[mode]
     violations = _farkas_preconditions(a, b, mode)
-    if not violations:
-        if mode != "ext":
-            a = [[e.finite_value for e in row] for row in a]
-            b = [e.finite_value for e in b]
-        try:
-            out = solve(a, b)
-        except PreconditionError as exc:
-            violations = exc.violations
     if violations:
         body = dict(mode=mode, preconditions=dict(sorted(violations.items())))
         return _report(ctx, body, as_json), EXIT_PRECONDITION
+    if mode != "ext":
+        a = [[e.finite_value for e in row] for row in a]
+        b = [e.finite_value for e in b]
+    out = solve(a, b)
 
     verified = verify_primal(a, b, out.x) if out.is_primal else verify_dual(a, b, out.y)
     if not verified:

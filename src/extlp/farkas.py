@@ -17,11 +17,11 @@ anti-cycling rule (Bland 1977).  It reads the rationals once, into the
 tableau, and returns one run record: infeasible with the phase-1 duals
 ``y``, else, after phase 2 under a cost row, unbounded with ``x`` and a
 ray, or optimal with ``x`` (and ``y`` under a cost), each as integers
-over one denominator; :func:`solve_equality`, :func:`solve_inequality`
-and :func:`solve_program` read their outputs off it.  The extended solver
-reduces to :func:`solve_inequality`.  :func:`farkas_bartl`, the paper's
-constructive Farkas-Bartl proof, is exponential in the worst case and is
-kept as the reference the simplex is checked against.
+over one denominator.  Each entry point makes at most one run, which
+:func:`_outcome` reads for a system and :func:`solve_program` for a
+program.  :func:`farkas_bartl`, the paper's constructive Farkas-Bartl
+proof, is exponential in the worst case and is kept as the reference the
+simplex is checked against.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Sequence
 from .check import verify_dual_eq, verify_dual_ext, verify_dual_ineq, verify_primal_eq, verify_primal_ext, verify_primal_ineq
 from .errors import DimensionError, PreconditionError, TheoremViolationError
 from .extfield import BOT, TOP, ExtValue
-from .extlinalg import ExtMatrix, ExtVector, _ext_system, _rational_system, rat_dot, rat_transpose, rat_vector, scatter
+from .extlinalg import ExtMatrix, ExtVector, _ext_system, _rational_system, rat_dot, rat_vector, scatter
 
 __all__ = [
     "FarkasOutcome",
@@ -312,9 +312,8 @@ def _simplex(
     return _Run("unbounded", x, None, tuple(ray), (p1, p2))
 
 
-def _system(a: Sequence[Sequence], b: Sequence, ncols: int | None, slack: bool) -> FarkasOutcome:
-    """:func:`_simplex` on ``(A, b)`` read as rationals: its ``y`` if infeasible, else its ``x``."""
-    run = _simplex(*_rational_system(a, b, ncols), slack)
+def _outcome(run: _Run) -> FarkasOutcome:
+    """A run's ``y`` if it is infeasible, else its ``x``, as Fractions."""
     if run.status == "infeasible":
         ys, dy = run.y
         return FarkasOutcome.dual(Fraction(v, dy) for v in ys)
@@ -330,7 +329,7 @@ def solve_equality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None)
     ``A``.  ``ncols`` is only needed when ``A`` has no rows (the width is
     ambiguous there).
     """
-    return _system(a, b, ncols, False)
+    return _outcome(_simplex(*_rational_system(a, b, ncols), False))
 
 
 def solve_inequality(a: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> FarkasOutcome:
@@ -341,7 +340,7 @@ def solve_inequality(a: Sequence[Sequence], b: Sequence, ncols: int | None = Non
     nonnegative.  Read as ``(-A^T) y <= 0``, the certificate has the form
     the extended solver embeds into.
     """
-    return _system(a, b, ncols, True)
+    return _outcome(_simplex(*_rational_system(a, b, ncols), True))
 
 
 def _feasible(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], ncols: int) -> bool:
@@ -432,10 +431,10 @@ def solve_extended(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> FarkasOu
     * a live bot right-hand side makes the system unsatisfiable, and
       ``y = 0`` is a certificate: ``0 * bot == bot`` gives ``b . y == bot < 0``
       while ``(-A^T) y`` is entrywise 0 or bot;
-    * otherwise the residual is all finite and goes to
-      :func:`solve_inequality`, whose dual certificate is read as
-      ``(-A^T) y <= 0``; the witness is re-expanded with zeros at the
-      masked positions.
+    * otherwise the live rows on the free columns are all finite, and one
+      :func:`_simplex` run decides them as :func:`solve_inequality` would:
+      its dual certificate is read as ``(-A^T) y <= 0``; either witness is
+      re-expanded with zeros at the masked positions.
     """
     a, b = _ext_system(a, b)
     bad = system_preconditions(a, b)
@@ -447,9 +446,8 @@ def solve_extended(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> FarkasOu
     if masks is None:
         return FarkasOutcome.dual((_F0,) * a.nrows)
     live, free, _ = masks
-    sub = [tuple(a[i][j].finite_value for j in free) for i in live]
-    rhs = [b[i].finite_value for i in live]
-    out = solve_inequality(sub, rhs, ncols=len(free))
+    sub = [tuple([a[i][j]._q for j in free]) for i in live]  # the masks keep finite entries only
+    out = _outcome(_simplex(sub, [b[i]._q for i in live], len(free), True))
     if out.is_primal:
         return FarkasOutcome.primal(scatter(out.x, free, a.ncols))
     return FarkasOutcome.dual(scatter(out.y, live, a.nrows))
@@ -458,18 +456,11 @@ def solve_extended(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> FarkasOu
 def dual_infeasibility_search(a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:
     """Search for ``y >= 0`` with ``A^T y >= 0`` and ``b . y < 0``; None if there is none.
 
-    The strict system is homogeneous in ``y``, so it is solvable iff the
-    non-strict reformulation ``-A^T y <= 0, b . y <= -1, y >= 0`` is; that
-    one is decided by :func:`solve_inequality`.
+    It is the alternative of ``A x <= b, x >= 0``: the dual certificate of
+    the one run :func:`solve_inequality` makes, re-checked, or None.
     """
     mat, rhs, ncols = _rational_system(a, b, None)
-    cols = rat_transpose(mat, ncols=ncols)
-    sys_rows = [tuple(-v for v in col) for col in cols]
-    sys_rows.append(tuple(rhs))
-    sys_rhs = [_F0] * ncols + [Fraction(-1)]
-    out = solve_inequality(sys_rows, sys_rhs)
-    if out.is_primal:
-        if not verify_dual_ineq(mat, rhs, out.x):
-            raise TheoremViolationError("search returned a non-verifying certificate")
-        return out.x
-    return None
+    y = _outcome(_simplex(mat, rhs, ncols, True)).y
+    if y is not None and not verify_dual_ineq(mat, rhs, y):
+        raise TheoremViolationError("search returned a non-verifying certificate")
+    return y

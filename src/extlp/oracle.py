@@ -1,6 +1,11 @@
 """Brute-force reference solvers and a random program generator.
 
-Nothing here shares code with the certificate solvers: optimization is
+It shares types and coercion with the certificate solvers, not their
+algorithms: the record base ``_Record`` of :mod:`extlp.farkas`; the
+records of :mod:`extlp.elp` and its :func:`~extlp.elp.validate`, which only
+the generator calls; and ``_rational_system``, ``rat_dot`` and
+``rat_vector`` of :mod:`extlp.extlinalg`.  It never calls ``_simplex`` or
+``infinity_masks``, so its answers check theirs.  Optimization is
 exhaustive enumeration of feasible basic points (the feasible sets all live
 in the nonnegative orthant, so nonempty means some basic point is feasible,
 and a finite minimum is attained at one), unboundedness is a separate

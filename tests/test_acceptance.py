@@ -218,7 +218,7 @@ def check_exclusivity_suite():
             assert certificate is None
         else:
             assert verify_dual_ineq(a, b, out.y)
-            assert certificate is not None
+            assert certificate == out.y
             assert verify_dual_ineq(a, b, certificate)
 
 

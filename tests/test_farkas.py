@@ -80,6 +80,8 @@ def test_arity_mismatch_rejected():
         ([], [2], [1]),  # no rows, one right-hand side
         ([[1, 2], [3, 4]], [5, 6], [1]),  # a witness one entry too short
         ([[1, 2], [3, 4]], [5, 6], [1, 1, 1]),  # a witness one entry too long
+        ([[1, 2], [3, 4]], [5, 6], [-1]),  # too short, and its sign alone would refuse it
+        ([[1, 2], [3, 4]], [5, 6], [-1, 1, 1]),  # too long, and its sign alone would refuse it
     ],
 )
 def test_verifiers_reject_a_misshapen_system(verify, a, b, w):
@@ -108,6 +110,8 @@ def test_equality_solvable_system():
 def test_equality_width_of_an_empty_system():
     out = solve_equality([], [], ncols=3)
     assert out.is_primal and out.x == (0, 0, 0)
+    # a system with no rows has no width, so its checks take a witness of any length
+    assert verify_primal_eq([], [], out.x) and verify_primal_ineq([], [], out.x)
     # without ncols an empty matrix is read as zero columns
     assert solve_equality([], []).x == ()
     with pytest.raises(DimensionError):
@@ -351,6 +355,8 @@ def test_verify_dual_ext_builds_no_transpose(monkeypatch):
 def transpose_verify_dual_ext(a, b, y) -> bool:
     """``verify_dual_ext`` as it read through ``neg_transpose``, the reference."""
     ys = rat_vector(y)
+    if len(ys) != a.nrows:
+        raise DimensionError(f"{len(ys)} weights for {a.nrows} rows")
     if any(v < 0 for v in ys):
         return False
     if not le_vec(mul_weig(neg_transpose(a), ys), ExtVector([ZERO] * a.ncols)):
