@@ -90,6 +90,8 @@ def parse_program_text(text: str) -> tuple[ExtMatrix, ExtVector, ExtVector | Non
         if len(parts) != 2 or parts[0] not in ("rows", "cols"):
             raise LPFormatError(f"line {no}: expected 'rows N' or 'cols N', got {line!r}")
         try:
+            if "_" in parts[1] or not parts[1].isascii():  # the entries' rule, which int() alone does not keep
+                raise ValueError
             n = int(parts[1])
         except ValueError:
             raise LPFormatError(f"line {no}: bad count {parts[1]!r}") from None
@@ -176,32 +178,26 @@ def _report(ctx: dict, body: dict, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _require_cost(c: ExtVector | None) -> ExtVector:
-    if c is None:
-        raise LPFormatError("this command needs a 'c' section")
-    return c
-
-
-def _cmd_validate(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]:
+def _cmd_validate(prog: ExtendedLP, ctx: dict, args: argparse.Namespace) -> tuple[str, int]:
     report = validate(prog)
     body = dict(rows=prog.A.nrows, cols=prog.A.ncols, conditions=report.as_dict(), valid=report.is_valid)
-    return _report(ctx, body, as_json), (EXIT_OK if report.is_valid else EXIT_PRECONDITION)
+    return _report(ctx, body, args.json), (EXIT_OK if report.is_valid else EXIT_PRECONDITION)
 
 
-def _cmd_dualize(prog: ExtendedLP, ctx: dict, as_json: bool) -> tuple[str, int]:
+def _cmd_dualize(prog: ExtendedLP, ctx: dict, args: argparse.Namespace) -> tuple[str, int]:
     dual = dualize(prog)
-    if as_json:
+    if args.json:
         return _report(ctx, {"program": _program_fields(dual.A, dual.b, dual.c)}, True), EXIT_OK
     # the header lines as comments; the seed stays out of the dual program
     return format_program(dual.A, dual.b, dual.c, tuple(_report(ctx, {}, False).splitlines()[:3])), EXIT_OK
 
 
-def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) -> tuple[str, int]:
+def _cmd_solve(prog: ExtendedLP, ctx: dict, args: argparse.Namespace) -> tuple[str, int]:
     report = validate(prog)
     opt, dual_opt = optimum_pair(prog)
 
     oracle_verdict = None
-    if with_oracle:
+    if args.oracle:
         from .oracle import oracle_solve_extended
         reference = (oracle_solve_extended(prog), oracle_solve_extended(dualize(prog)))
         if reference != (opt, dual_opt):
@@ -220,7 +216,11 @@ def _cmd_solve(prog: ExtendedLP, ctx: dict, as_json: bool, with_oracle: bool) ->
         opposites=opposites_opt(opt, dual_opt),
         oracle=oracle_verdict,
     )
-    return _report(ctx, body, as_json), EXIT_OK
+    return _report(ctx, body, args.json), EXIT_OK
+
+
+# the commands that read a program, and so need its 'c' section
+_PROGRAM_COMMANDS = {"validate": _cmd_validate, "dualize": _cmd_dualize, "solve": _cmd_solve}
 
 
 def _farkas_preconditions(a: ExtMatrix, b: ExtVector, mode: str) -> dict[str, tuple[int, ...]]:
@@ -250,13 +250,9 @@ def _cmd_farkas(a: ExtMatrix, b: ExtVector, ctx: dict, as_json: bool, mode: str)
         a = [[e.finite_value for e in row] for row in a]
         b = [e.finite_value for e in b]
     out = solve(a, b)
-
-    verified = verify_primal(a, b, out.x) if out.is_primal else verify_dual(a, b, out.y)
-    if not verified:
+    outcome, witness, verify = ("primal", out.x, verify_primal) if out.is_primal else ("dual", out.y, verify_dual)
+    if not verify(a, b, witness):
         raise TheoremViolationError("solver witness failed verification")
-
-    witness = out.x if out.is_primal else out.y
-    outcome = "primal" if out.is_primal else "dual"
     body = dict(mode=mode, outcome=outcome, witness=[str(v) for v in witness], verified=True)
     return _report(ctx, body, as_json), EXIT_OK
 
@@ -320,14 +316,12 @@ def main(argv: list[str] | None = None) -> int:
         a, b, c = parse_program_text(text)
         if digits:  # the parse kept the limit; a parsed value and the answers print in full
             sys.set_int_max_str_digits(0)
-        if args.command == "validate":
-            out, code = _cmd_validate(ExtendedLP(a, b, _require_cost(c)), ctx, args.json)
-        elif args.command == "dualize":
-            out, code = _cmd_dualize(ExtendedLP(a, b, _require_cost(c)), ctx, args.json)
-        elif args.command == "solve":
-            out, code = _cmd_solve(ExtendedLP(a, b, _require_cost(c)), ctx, args.json, args.oracle)
-        else:
+        if args.command == "farkas":
             out, code = _cmd_farkas(a, b, ctx, args.json, args.mode)
+        elif c is None:
+            raise LPFormatError("this command needs a 'c' section")
+        else:
+            out, code = _PROGRAM_COMMANDS[args.command](ExtendedLP(a, b, c), ctx, args)
     except LPFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

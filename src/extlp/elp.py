@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .check import _check_pair, verify_primal_ext
 from .errors import DimensionError, InvalidProgramError, PreconditionError
-from .extfield import BOT, TOP, ZERO, ExtValue, _neg_q, as_ext, as_rational
+from .extfield import BOT, TOP, ZERO, ExtValue, _neg_q, as_ext
 from .extlinalg import ExtMatrix, ExtVector, dot_weig, neg_transpose, rat_vector
 from .farkas import (
     BOT_ROW_BOT_RHS,
@@ -185,10 +185,11 @@ def is_solution(p: ExtendedLP, x: Sequence) -> bool:
 
 
 def reaches(p: ExtendedLP, x: Sequence) -> ExtValue:
-    """The objective value of a solution; non-solutions are rejected."""
+    """The value ``c . x`` that the solution ``x`` reaches; a point that does
+    not solve ``p`` raises PreconditionError."""
     xs = rat_vector(x)
     if not is_solution(p, xs):
-        raise PreconditionError("reaches: x is not a solution")
+        raise PreconditionError("reaches: the point does not solve the program")
     return dot_weig(p.c, xs)
 
 
@@ -317,33 +318,19 @@ def optimum(p: ExtendedLP) -> Optimum:
 
 
 def is_bounded_by(p: ExtendedLP, r) -> bool:
-    """Whether every reached value is at least the rational ``r``.
-
-    An infeasible program is bounded by anything; an unbounded one by
-    nothing; otherwise the optimum is attained and decides the comparison.
-    """
-    opt = optimum(p).value
-    if opt.is_top:
-        return True
-    if opt.is_bot:
-        return False
-    return as_rational(r) <= opt.finite_value
+    """Whether every value ``p`` reaches is at least the rational ``r``: its
+    optimum, the greatest such bound, is at least ``r`` (top when infeasible,
+    bot when unbounded)."""
+    return optimum(p).value >= ExtValue(r)
 
 
 def weak_duality_check(p: ExtendedLP, x: Sequence, y: Sequence) -> bool:
-    """Evaluate ``c . x + b . y >= 0`` for a solution pair.
-
-    ``x`` must solve ``p`` and ``y`` its dual (else PreconditionError).  For
-    valid programs the inequality always holds; on invalid ones it can fail,
-    which is what the counterexample fixtures demonstrate.
-    """
-    xs = rat_vector(x)
-    ys = rat_vector(y)
-    if not is_solution(p, xs):
-        raise PreconditionError("weak_duality_check: x does not solve the primal")
-    if not is_solution(dualize(p), ys):
-        raise PreconditionError("weak_duality_check: y does not solve the dual")
-    return dot_weig(p.c, xs) + dot_weig(p.b, ys) >= ZERO
+    """Whether ``0 <= c . x + b . y``: the value the solution ``x`` reaches in
+    ``p`` plus the one the solution ``y`` reaches in its dual, each by
+    :func:`reaches` (else PreconditionError).  It holds on every valid
+    program and can fail on an invalid one, as the counterexample fixtures
+    show."""
+    return reaches(p, x) + reaches(dualize(p), y) >= ZERO
 
 
 def strong_duality_check(p: ExtendedLP) -> bool:

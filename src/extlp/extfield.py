@@ -66,7 +66,9 @@ def as_rational(value) -> Fraction:
 
 
 class ExtValue:
-    """A rational number, or one of the endpoints ``BOT`` / ``TOP``."""
+    """A rational number, or one of the endpoints ``BOT`` / ``TOP``.
+
+    ``a > b`` and ``a >= b`` are Python's reflections ``b < a`` and ``b <= a``."""
 
     __slots__ = ("_tag", "_q")
 
@@ -131,16 +133,6 @@ class ExtValue:
         if self._tag != other._tag:
             return self._tag < other._tag
         return self._tag != _FIN or self._q <= other._q
-
-    def __gt__(self, other):
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        return other < self
-
-    def __ge__(self, other):
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        return other <= self
 
     def __repr__(self):
         if self._tag == _BOT:

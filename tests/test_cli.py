@@ -160,6 +160,9 @@ PARSE_ERRORS = [
     ),
     pytest.param("rows 1\ncolumns 1\n", "line 2: expected 'rows N' or 'cols N', got 'columns 1'", id="header"),
     pytest.param("rows one\ncols 1\n", "line 1: bad count 'one'", id="bad_count"),
+    pytest.param("rows 1_0\ncols 1\n", "line 1: bad count '1_0'", id="count_digit_separator"),
+    pytest.param("rows \u0661\ncols 1\n", "line 1: bad count '\u0661'", id="count_arabic_indic_digit"),
+    pytest.param("rows 1\ncols \uff11\n", "line 2: bad count '\uff11'", id="count_full_width_digit"),
     pytest.param("rows 1\ncols 0\n", "line 2: cols must be at least 1", id="count_below_one"),
     pytest.param("rows 1\nrows 1\ncols 1\nA\n1\nb\n0\n", "line 2: duplicate rows header", id="duplicate_header"),
     pytest.param("rows 1\ncols 1\nB\n1\nb\n0\n", "line 3: expected 'A', got 'B'", id="a_section"),

@@ -1,9 +1,13 @@
 """Every program of shape 1x1, 1x2 and 2x1 with entries in {bot, top, -1, 0, 1}."""
 
+from itertools import product
+
 import pytest
 
-from extlp.elp import CONDITIONS
-from exhaust import census
+from extlp import ExtValue
+from extlp.elp import CONDITIONS, dualize, is_bounded_by, is_solution, validate, weak_duality_check
+from extlp.oracle import oracle_solve_extended
+from exhaust import census, programs
 
 # shape: programs, valid, both optima top; then the programs broken by one
 # condition alone, in CONDITIONS order: mixed_row, mixed_col, bot_row_bot_rhs,
@@ -27,3 +31,35 @@ def test_every_small_program_matches_the_oracle_and_the_duality_theorem(m, n):
     assert (counts["oracle_mismatches"], counts["swap_mismatches"], counts["broken_valid"]) == (0, 0, 0)
     assert tuple(counts[name] for name in CONDITIONS) == alone
 
+
+
+# shape: the (x, y) pairs of 0/1 points that solve a valid program and its
+# dual; then the programs that fail one condition alone and break weak
+# duality on such a pair, in CONDITIONS order; 6384 pairs in all
+WEAK_DUALITY = {
+    (1, 1): (138, (0, 0, 2, 2, 1, 1)),
+    (1, 2): (3123, (12, 0, 40, 64, 25, 21)),
+    (2, 1): (3123, (0, 12, 64, 40, 21, 25)),
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(WEAK_DUALITY))
+def test_every_small_program_is_bounded_by_its_oracle_optimum_and_obeys_weak_duality(m, n):
+    bound_mismatches = broken_valid = pairs = 0
+    alone = dict.fromkeys(CONDITIONS, 0)
+    for p in programs(m, n):
+        # bounded by r exactly when the oracle's optimum is at least r
+        reference = oracle_solve_extended(p).value
+        bound_mismatches += sum(is_bounded_by(p, r) != (ExtValue(r) <= reference) for r in (-1, 0, 1))
+        d = dualize(p)
+        xs = [x for x in product((0, 1), repeat=n) if is_solution(p, x)]
+        ys = [y for y in product((0, 1), repeat=m) if is_solution(d, y)]
+        broken = not all(weak_duality_check(p, x, y) for x in xs for y in ys)
+        failed = validate(p).failed()
+        if not failed:
+            pairs += len(xs) * len(ys)
+            broken_valid += broken
+        elif len(failed) == 1 and broken:
+            alone[next(iter(failed))] += 1
+    assert (bound_mismatches, broken_valid) == (0, 0)
+    assert (pairs, tuple(alone.values())) == WEAK_DUALITY[m, n]

@@ -173,6 +173,19 @@ def test_order_total_and_transitive():
         assert lo <= hi
 
 
+def test_greater_is_the_reflected_less():
+    # ExtValue defines only < and <=; Python answers > and >= by reflecting them
+    vals = [BOT, finite(-1), ZERO, finite(Fraction(1, 2)), TOP]
+    for a in vals:
+        for b in vals:
+            assert (a > b) == (b < a)
+            assert (a >= b) == (b <= a)
+    with pytest.raises(TypeError):
+        ExtValue(1) > 1
+    with pytest.raises(TypeError):
+        ExtValue(1) >= Fraction(1)
+
+
 @given(rationals, rationals)
 def test_finite_order_matches_fraction(p, q):
     assert (finite(p) < finite(q)) == (p < q)
