@@ -13,81 +13,20 @@ The pieces, bottom to top:
   seeded random program generator;
 * :mod:`extlp.cli` -- the ``extlp`` command and the program file format.
 
-``import extlp`` loads every module but the oracle, which loads on the first
-read of ``extlp.oracle`` or of one of its names, so only its users pay for it.
+Each module's ``__all__`` is the one list of its public names; the package
+republishes those of ``errors`` and of every module above but the oracle and
+the CLI.  ``import extlp`` loads no oracle: it loads on the first read of
+``extlp.oracle`` or of one of its names, so only its users pay for it, and
+those names stay listed in ``_ORACLE_NAMES`` because the loader must know them
+before the oracle is imported.
 """
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    ExtLPError,
-    GenerationBudgetError,
-    InvalidProgramError,
-    LPFormatError,
-    PreconditionError,
-    ScaleLimitError,
-    TheoremViolationError,
-)
-from .extfield import (
-    BOT,
-    TOP,
-    ZERO,
-    ExtValue,
-    as_ext,
-    as_rational,
-    finite,
-    format_ext,
-    format_rational,
-    parse_ext,
-    parse_rational,
-    smul_nn,
-)
-from .extlinalg import (
-    ExtMatrix,
-    ExtVector,
-    dot_weig,
-    le_vec,
-    mul_weig,
-    neg_transpose,
-    rat_vector,
-)
-from .check import (
-    verify_dual_eq,
-    verify_dual_ext,
-    verify_dual_ineq,
-    verify_primal_eq,
-    verify_primal_ext,
-    verify_primal_ineq,
-)
-from .farkas import (
-    FarkasOutcome,
-    dual_infeasibility_search,
-    farkas_bartl,
-    solve_equality,
-    solve_extended,
-    solve_inequality,
-    system_preconditions,
-)
-from .elp import (
-    CONDITIONS,
-    DUAL_CONDITION_SWAP,
-    ExtendedLP,
-    Optimum,
-    ValidELP,
-    ValidityReport,
-    dualize,
-    is_bounded_by,
-    is_feasible,
-    is_solution,
-    is_unbounded,
-    opposites_opt,
-    optimum,
-    optimum_pair,
-    reaches,
-    strong_duality_check,
-    validate,
-    weak_duality_check,
-)
+from .errors import *
+from .extfield import *
+from .extlinalg import *
+from .check import *
+from .farkas import *
+from .elp import *
 
 # served from the oracle, which loads on the first read of one of them (PEP 562)
 _ORACLE_NAMES = {"GenConfig", "OracleResult", "fm_minimum", "gen_valid_elp",

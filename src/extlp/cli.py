@@ -59,6 +59,14 @@ EXIT_PARSE = 3
 EXIT_INTERNAL = 4
 
 
+def _ascii_int(text: str) -> int:
+    """``int(text)`` under the entries' rule, which ``int()`` alone does not
+    keep: no ``_`` separator and no non-ASCII digit."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_program_text(text: str) -> tuple[ExtMatrix, ExtVector, ExtVector | None]:
     """Parse a program file into ``(A, b, c)``; ``c`` is None when absent."""
     bodies = ((no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1))
@@ -90,9 +98,7 @@ def parse_program_text(text: str) -> tuple[ExtMatrix, ExtVector, ExtVector | Non
         if len(parts) != 2 or parts[0] not in ("rows", "cols"):
             raise LPFormatError(f"line {no}: expected 'rows N' or 'cols N', got {line!r}")
         try:
-            if "_" in parts[1] or not parts[1].isascii():  # the entries' rule, which int() alone does not keep
-                raise ValueError
-            n = int(parts[1])
+            n = _ascii_int(parts[1])
         except ValueError:
             raise LPFormatError(f"line {no}: bad count {parts[1]!r}") from None
         if n < 1:
@@ -272,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="program file")
         p.add_argument("--json", action="store_true", help="structured output")
-        p.add_argument("--seed", type=int, default=None, help="echoed into the report; EXTLP_SEED overrides")
+        p.add_argument("--seed", type=_ascii_int, default=None, help="echoed into the report; EXTLP_SEED overrides")
         if name == "solve":
             p.add_argument("--oracle", action="store_true", help="cross-check against the brute-force oracle")
         if name == "farkas":
@@ -292,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     env_seed = os.environ.get("EXTLP_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            seed = _ascii_int(env_seed)
         except ValueError:
             print(f"error: EXTLP_SEED is not an integer: {env_seed!r}", file=sys.stderr)
             return EXIT_PARSE

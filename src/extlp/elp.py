@@ -52,8 +52,6 @@ __all__ = [
     "dualize",
     "CONDITIONS",
     "DUAL_CONDITION_SWAP",
-    "TOP_COL_BOT_COST",
-    "BOT_COL_TOP_COST",
     "is_solution",
     "reaches",
     "is_feasible",
@@ -292,9 +290,9 @@ def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
     index.  When the dual keeps the columns and rows of a finite primal
     residual under a cost with no bot, as for every valid program with one,
     one :func:`_decide` settles both sides unless the primal is infeasible;
-    then one feasibility test of the dual's residual picks bot or top.
-    Otherwise the dual's residual is decided on its own.  :func:`_residual`
-    reads it off ``A``'s entries: ``-A^T`` is never built.
+    then the bot-cost rule of :func:`_residual` picks bot or top for the
+    dual.  Otherwise the dual's residual is decided on its own.
+    :func:`_residual` reads it off ``A``'s entries: ``-A^T`` is never built.
     """
     a, b, c = p.A, p.b, p.c
     primal = _residual(a, b, c)
@@ -303,8 +301,7 @@ def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
     if isinstance(primal, Optimum) or dual != (primal[4], primal[3], False):
         return p_opt, _decide(_residual(a, c, b, dual))[0]
     if d_opt is None:
-        sub, rhs, cost = _residual(a, c, b, dual)[:3]
-        d_opt = Optimum(BOT if _feasible(sub, rhs, len(cost)) else TOP)
+        d_opt = _residual(a, c, b, (*dual[:2], True))
     return p_opt, d_opt
 
 

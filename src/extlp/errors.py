@@ -2,6 +2,18 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ExtLPError",
+    "DomainError",
+    "DimensionError",
+    "PreconditionError",
+    "InvalidProgramError",
+    "TheoremViolationError",
+    "ScaleLimitError",
+    "GenerationBudgetError",
+    "LPFormatError",
+]
+
 
 class ExtLPError(Exception):
     """Base class for every error raised by this package."""

@@ -2,8 +2,10 @@
 
 Extended entries live in :class:`ExtVector` / :class:`ExtMatrix` (immutable,
 hashable, rectangular).  Plain rational vectors and matrices are ordinary
-tuples of :class:`Fraction`; the ``rat_*`` helpers cover the little linear
-algebra the solvers need.
+tuples of :class:`Fraction`; :func:`rat_vector` reads one.  The checks' and
+solvers' rational linear algebra, ``rat_dot``, ``rat_mat_vec``,
+``rat_transpose`` and ``scatter``, is left out of ``__all__``, so ``extlp``
+does not republish it; import it from this module.
 
 The weighted operations let nonnegative rational weights act on extended
 entries: ``dot_weig(v, w) = sum_i smul_nn(w[i], v[i])``, summed left to
@@ -26,10 +28,6 @@ __all__ = [
     "le_vec",
     "neg_transpose",
     "rat_vector",
-    "rat_dot",
-    "rat_mat_vec",
-    "rat_transpose",
-    "scatter",
 ]
 
 

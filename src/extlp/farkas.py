@@ -43,10 +43,6 @@ __all__ = [
     "solve_inequality",
     "solve_extended",
     "system_preconditions",
-    "MIXED_ROW",
-    "MIXED_COL",
-    "TOP_ROW_TOP_RHS",
-    "BOT_ROW_BOT_RHS",
     "dual_infeasibility_search",
 ]
 

@@ -17,7 +17,9 @@ in ``{bot, top, -1, 0, 1}`` and prints one census line of counts:
   that condition alone and whose optima are neither opposites nor both top.
   A nonzero count shows the condition is needed for duality.
 
-A test pins the census of 1x1, 1x2 and 2x1; CI pins the one of 2x2.
+``programs`` and ``census`` take another domain as ``values``.  A test pins
+the census of 1x1, 1x2 and 2x1, over these values and over
+``{bot, top, -2, -1/2, 0, 1/2, 2}``; CI pins the one of 2x2.
 """
 
 import sys
@@ -34,18 +36,19 @@ from extlp.oracle import oracle_solve_extended  # noqa: E402
 VALUES = (BOT, TOP, as_ext(-1), ZERO, as_ext(1))
 
 
-def programs(m: int, n: int):
-    """Every ``m x n`` program with entries in :data:`VALUES`."""
-    for entries in product(VALUES, repeat=m * n + m + n):
+def programs(m: int, n: int, values=VALUES):
+    """Every ``m x n`` program with entries in ``values``."""
+    for entries in product(values, repeat=m * n + m + n):
         rows = [entries[i * n : (i + 1) * n] for i in range(m)]
         yield ExtendedLP(rows, entries[m * n : m * n + m], entries[m * n + m :])
 
 
-def census(m: int, n: int) -> dict[str, int]:
-    """The counts of the module docstring for shape ``m x n``, by name."""
+def census(m: int, n: int, values=VALUES) -> dict[str, int]:
+    """The counts of the module docstring for shape ``m x n``, by name,
+    over the entries ``values``."""
     counts = dict.fromkeys(("programs", "valid", "both_top", "broken_valid", "oracle_mismatches", "swap_mismatches"), 0)
     counts.update(dict.fromkeys(CONDITIONS, 0))
-    for p in programs(m, n):
+    for p in programs(m, n, values):
         d = dualize(p)
         failed = validate(p).failed()
         opt_p, opt_d = optimum_pair(p)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -278,6 +279,30 @@ def test_non_integer_env_seed_fails(monkeypatch, capsys):
     assert "EXTLP_SEED" in err
 
 
+# the counts' rule: no '_' separator, no Arabic-Indic or full-width digit
+NON_ASCII_SEEDS = [
+    pytest.param("1_0", id="digit_separator"),
+    pytest.param("١", id="arabic_indic_digit"),
+    pytest.param("１", id="full_width_digit"),
+]
+
+
+@pytest.mark.parametrize("seed", NON_ASCII_SEEDS)
+def test_seed_flag_refuses_what_the_counts_refuse(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(fixture_path("lunch.lp")), "--seed", seed])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", NON_ASCII_SEEDS)
+def test_env_seed_refuses_what_the_counts_refuse(seed, monkeypatch, capsys):
+    monkeypatch.setenv("EXTLP_SEED", seed)
+    code, out, err = run_cli(["validate", "lunch.lp"], capsys)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"error: EXTLP_SEED is not an integer: {seed!r}\n"
+
+
 # --- dualize round trip ---
 
 
@@ -508,3 +533,19 @@ def test_the_package_serves_the_oracle_names():
     assert extlp.GenConfig is oracle.GenConfig and extlp.oracle is oracle
     with pytest.raises(AttributeError):
         extlp.no_such_name
+
+
+def test_the_package_republishes_each_modules_all():
+    import extlp
+    from extlp import check, elp, errors, extfield, extlinalg, farkas
+
+    modules = (errors, extfield, extlinalg, check, farkas, elp)
+    union = {name for module in modules for name in module.__all__}
+    # each public name is declared once, in one module's __all__
+    assert sum(len(module.__all__) for module in modules) == len(union)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(extlp, name) is getattr(module, name), (module.__name__, name)
+    public = {n for n in vars(extlp) if not n.startswith("_") and not isinstance(getattr(extlp, n), types.ModuleType)}
+    assert public == union
+    assert extlp._ORACLE_NAMES <= set(extlp.oracle.__all__)

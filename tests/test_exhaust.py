@@ -1,10 +1,12 @@
-"""Every program of shape 1x1, 1x2 and 2x1 with entries in {bot, top, -1, 0, 1}."""
+"""Every program of shape 1x1, 1x2 and 2x1 with entries in {bot, top, -1, 0, 1},
+and, for the census, in {bot, top, -2, -1/2, 0, 1/2, 2}."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from extlp import ExtValue
+from extlp import BOT, TOP, ZERO, ExtValue, as_ext
 from extlp.elp import CONDITIONS, dualize, is_bounded_by, is_solution, validate, weak_duality_check
 from extlp.oracle import oracle_solve_extended
 from exhaust import census, programs
@@ -21,15 +23,33 @@ CENSUS = {
 }
 
 
-@pytest.mark.parametrize("m, n", sorted(CENSUS))
-def test_every_small_program_matches_the_oracle_and_the_duality_theorem(m, n):
-    counts = census(m, n)
-    programs, valid, both_top, alone = CENSUS[m, n]
+# the same over {bot, top, -2, -1/2, 0, 1/2, 2}: 16807 programs of 1x2 or 2x1,
+# with non-unit pivots and denominators.  The domain is closed under negation,
+# so every dual's entries lie in it and the census keeps its swap symmetry
+WIDE_VALUES = (BOT, TOP, as_ext(-2), as_ext(Fraction(-1, 2)), ZERO, as_ext(Fraction(1, 2)), as_ext(2))
+WIDE_CENSUS = {
+    (1, 1): (343, 317, 21, (0, 0, 3, 3, 2, 2)),
+    (1, 2): (16807, 14047, 1313, (60, 0, 129, 215, 100, 114)),
+    (2, 1): (16807, 14047, 1313, (0, 60, 215, 129, 114, 100)),
+}
+
+
+def assert_census(counts, programs, valid, both_top, alone):
     assert (counts["programs"], counts["valid"], counts["both_top"]) == (programs, valid, both_top)
     # optimum_pair agrees with the oracle on each program and on its dual, the
     # dual fails the swapped conditions, and a valid program obeys duality
     assert (counts["oracle_mismatches"], counts["swap_mismatches"], counts["broken_valid"]) == (0, 0, 0)
     assert tuple(counts[name] for name in CONDITIONS) == alone
+
+
+@pytest.mark.parametrize("m, n", sorted(CENSUS))
+def test_every_small_program_matches_the_oracle_and_the_duality_theorem(m, n):
+    assert_census(census(m, n), *CENSUS[m, n])
+
+
+@pytest.mark.parametrize("m, n", sorted(WIDE_CENSUS))
+def test_every_small_program_over_a_wider_domain_matches_the_oracle_and_the_duality_theorem(m, n):
+    assert_census(census(m, n, WIDE_VALUES), *WIDE_CENSUS[m, n])
 
 
 
