@@ -12,7 +12,7 @@ from typing import Sequence
 from .errors import DimensionError, TheoremViolationError
 from .extfield import ZERO
 from .extlinalg import (ExtMatrix, ExtVector, _ext_system, _rational_system, dot_weig, le_vec, mul_weig,
-                        rat_dot, rat_mat_vec, rat_transpose, rat_vector)
+                        rat_dot, rat_vector)
 
 __all__ = [
     "verify_primal_eq",
@@ -38,21 +38,21 @@ def verify_primal_eq(a: Sequence[Sequence], b: Sequence, x: Sequence) -> bool:
     """``x >= 0`` and ``A x == b`` over rationals."""
     mat, rhs, ncols = _rational_system(a, b, None)
     xs = _witness(x, ncols if mat else None)
-    return all(v >= 0 for v in xs) and rat_mat_vec(mat, xs) == rhs
+    return all(v >= 0 for v in xs) and all(rat_dot(row, xs) == t for row, t in zip(mat, rhs))
 
 
 def verify_dual_eq(a: Sequence[Sequence], b: Sequence, y: Sequence) -> bool:
     """``A^T y >= 0`` and ``b . y < 0`` over rationals; ``y`` may have any sign."""
-    mat, rhs, ncols = _rational_system(a, b, None)
+    mat, rhs, _ = _rational_system(a, b, None)
     ys = _witness(y, len(rhs))
-    return all(rat_dot(col, ys) >= 0 for col in rat_transpose(mat, ncols=ncols)) and rat_dot(rhs, ys) < 0
+    return all(rat_dot(col, ys) >= 0 for col in zip(*mat)) and rat_dot(rhs, ys) < 0
 
 
 def verify_primal_ineq(a: Sequence[Sequence], b: Sequence, x: Sequence) -> bool:
     """``x >= 0`` and ``A x <= b`` over rationals."""
     mat, rhs, ncols = _rational_system(a, b, None)
     xs = _witness(x, ncols if mat else None)
-    return all(v >= 0 for v in xs) and all(l <= r for l, r in zip(rat_mat_vec(mat, xs), rhs))
+    return all(v >= 0 for v in xs) and all(rat_dot(row, xs) <= t for row, t in zip(mat, rhs))
 
 
 def verify_dual_ineq(a: Sequence[Sequence], b: Sequence, y: Sequence) -> bool:

@@ -19,9 +19,9 @@ or decimal).  Subcommands: ``validate``, ``dualize``, ``solve``,
 ``farkas``.  ``solve`` answers valid and invalid programs from the certified
 core.  Exit codes: 0 success, 2 precondition or validity violation (or,
 under ``solve --oracle``, a program beyond the brute-force oracle's size
-cap), 3 parse error, 4 internal theorem violation (including oracle
-disagreement under ``--oracle``).  The brute-force oracle is imported only
-under ``solve --oracle`` and ``json`` only under ``--json``.
+cap), 3 parse or file error, 4 internal theorem violation (including
+oracle disagreement under ``--oracle``).  The brute-force oracle is
+imported only under ``solve --oracle`` and ``json`` only under ``--json``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import hashlib
 import os
 import sys
 
-from .errors import DomainError, LPFormatError, PreconditionError, ScaleLimitError, TheoremViolationError
+from .errors import DomainError, LPFormatError, ScaleLimitError, TheoremViolationError
 from .extfield import format_ext, parse_ext
 from .extlinalg import ExtMatrix, ExtVector
 from .check import (
@@ -154,7 +154,8 @@ def _fmt(value) -> str:
         return "true"
     if value is False:
         return "false"
-    return str(value)
+    text = str(value)  # a file name may hold a line break or an undecodable byte
+    return text if text.isprintable() else ascii(text)
 
 
 # the words of the text line for one entry of each index map
@@ -334,9 +335,6 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremViolationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except ScaleLimitError:
         # only solve --oracle raises it, naming a masked residual, not the input
         from .oracle import MAX_ORACLE_COLS, MAX_ORACLE_ROWS
@@ -347,7 +345,14 @@ def main(argv: list[str] | None = None) -> int:
         if digits:
             sys.set_int_max_str_digits(digits)
 
-    sys.stdout.write(out)
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # fd 1 to devnull, so the interpreter's last flush of the closed pipe prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: the output was closed", file=sys.stderr)
+        return EXIT_PARSE
     return code
 
 

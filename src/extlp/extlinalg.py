@@ -3,9 +3,8 @@
 Extended entries live in :class:`ExtVector` / :class:`ExtMatrix` (immutable,
 hashable, rectangular).  Plain rational vectors and matrices are ordinary
 tuples of :class:`Fraction`; :func:`rat_vector` reads one.  The checks' and
-solvers' rational linear algebra, ``rat_dot``, ``rat_mat_vec``,
-``rat_transpose`` and ``scatter``, is left out of ``__all__``, so ``extlp``
-does not republish it; import it from this module.
+solvers' rational helpers ``rat_dot`` and ``scatter`` are left out of
+``__all__``, so ``extlp`` does not republish them; import them from this module.
 
 The weighted operations let nonnegative rational weights act on extended
 entries: ``dot_weig(v, w) = sum_i smul_nn(w[i], v[i])``, summed left to
@@ -260,18 +259,6 @@ def rat_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise DimensionError(f"rat_dot: {len(u)} vs {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def rat_mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(rat_dot(row, x) for row in a)
-
-
-def rat_transpose(a: Sequence[Sequence[Fraction]], ncols: int | None = None) -> tuple[tuple[Fraction, ...], ...]:
-    if not a:
-        if ncols is None:
-            raise DimensionError("transposing an empty matrix needs ncols")
-        return tuple(() for _ in range(ncols))
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
 
 
 def scatter(values: Sequence[Fraction], positions: Sequence[int], size: int) -> tuple[Fraction, ...]:

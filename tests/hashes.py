@@ -7,8 +7,8 @@ Run ``python3 tests/hashes.py``.  It prints two lines:
 * the witness hash: 3080 outputs of ``solve_extended``, ``solve_equality``,
   ``solve_inequality`` and ``solve_program``.
 
-Any changed optimum, witness or optimal pair changes a hash.  CI compares
-both lines with pinned values.
+Any changed optimum, witness or optimal pair changes a hash.  The Tier-1
+test ``tests/test_pins.py`` compares both lines with pinned values.
 """
 
 import hashlib

@@ -25,8 +25,9 @@ from extlp.cli import (
     main,
     parse_program_text,
 )
-from extlp.elp import ExtendedLP, dualize
-from extlp.extfield import format_ext
+from extlp.elp import ExtendedLP, Optimum, dualize
+from extlp.extfield import ZERO, format_ext
+from extlp.farkas import FarkasOutcome
 from extlp.oracle import oracle_solve_extended
 from conftest import fixture_path, golden_text
 
@@ -123,6 +124,68 @@ def test_non_utf8_input_is_a_parse_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _src_env(**extra):
+    """The environment of a child interpreter that imports this checkout's package."""
+    return dict(os.environ, PYTHONPATH=str(Path(extlp.cli.__file__).resolve().parents[1]), **extra)
+
+
+def test_a_file_name_with_a_line_break_prints_escaped_on_one_line(tmp_path, capsys):
+    odd = tmp_path / "lu\nnch.lp"
+    odd.write_text(fixture_path("lunch.lp").read_text())
+    for command in ("solve", "dualize"):
+        code, out, err = run_cli([command, str(odd)], capsys)
+        assert code == EXIT_OK and err == ""
+        plain = out.replace("input 'lu\\nnch.lp'\n", "input lunch.lp\n")
+        assert plain != out and plain == golden_text(f"{command}_lunch.txt")
+    # the escaped name is a comment of the dual program, which parses back
+    assert parse_program_text(out) == parse_program_text(golden_text("dualize_lunch.txt"))
+
+
+def test_a_file_name_with_an_undecodable_byte_prints_escaped(tmp_path):
+    odd = os.path.join(os.fsencode(tmp_path), b"lu\xff.lp")
+    with open(odd, "wb") as fh:
+        fh.write(fixture_path("lunch.lp").read_bytes())
+    proc = subprocess.run(
+        [sys.executable, "-m", "extlp", "solve", odd], env=_src_env(PYTHONIOENCODING="utf-8"), capture_output=True
+    )
+    assert proc.returncode == EXIT_OK and proc.stderr == b""
+    assert b"input 'lu\\udcff.lp'" in proc.stdout.splitlines()
+
+
+def test_a_closed_output_exits_3_with_one_line():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "extlp", "solve", str(fixture_path("lunch.lp"))],
+            env=_src_env(),
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_PARSE
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_an_oracle_disagreement_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(extlp.cli, "optimum_pair", lambda p: (Optimum(ZERO), Optimum(ZERO)))
+    code, out, err = run_cli(["solve", "lunch.lp", "--oracle"], capsys)
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error: oracle disagrees:")
+
+
+def test_a_witness_that_fails_verification_exits_4(monkeypatch, capsys):
+    _, verify_primal, verify_dual = extlp.cli._FARKAS_MODES["ineq"]
+    wrong = (lambda a, b: FarkasOutcome.primal([0, 0]), verify_primal, verify_dual)
+    monkeypatch.setitem(extlp.cli._FARKAS_MODES, "ineq", wrong)
+    code, out, err = run_cli(["farkas", "lunch.lp", "--mode", "ineq"], capsys)
+    assert code == EXIT_INTERNAL and out == ""
+    assert err == "internal error: solver witness failed verification\n"
 
 
 # one text per LPFormatError branch of parse_program_text, with its exact message
@@ -516,10 +579,8 @@ def test_a_plain_request_loads_neither_the_oracle_nor_json_nor_dataclasses():
         "from extlp import oracle, oracle_solve_extended\n"
         "print(oracle_solve_extended is oracle.oracle_solve_extended)\n"
     )
-    src = Path(extlp.cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(fixture_path("lunch.lp"))], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, str(fixture_path("lunch.lp"))], env=_src_env(), capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\nTrue\n"

@@ -23,7 +23,7 @@ from extlp import (
     rat_vector,
 )
 from extlp import extlinalg
-from extlp.extlinalg import rat_dot, rat_mat_vec, rat_transpose, scatter
+from extlp.extlinalg import rat_dot, scatter
 
 
 def random_ext_vector(rng: random.Random, n: int, extra: tuple = ()) -> ExtVector:
@@ -213,22 +213,14 @@ def test_rat_vector_validation():
 
 
 def test_rat_dot_and_mat_vec():
-    a = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(-1)]]
     x = [Fraction(3), Fraction(4)]
     assert rat_dot(x, x) == 25
-    assert rat_mat_vec(a, x) == (Fraction(11), Fraction(-4))
-
-
-def test_rat_transpose_and_identity():
-    a = [[1, 2, 3], [4, 5, 6]]
-    t = rat_transpose([[Fraction(v) for v in row] for row in a], 3)
-    assert t == ((1, 4), (2, 5), (3, 6))
-    assert rat_transpose([], 2) == ((), ())
 
 
 def test_the_helpers_no_solver_called_are_gone():
     assert not hasattr(extlp, "nonneg_vector")
     assert not hasattr(extlinalg, "nonneg_vector") and not hasattr(extlinalg, "rat_identity")
+    assert not hasattr(extlinalg, "rat_mat_vec") and not hasattr(extlinalg, "rat_transpose")
     assert not hasattr(ExtMatrix, "col")
 
 

@@ -30,7 +30,7 @@ from extlp import (
 from extlp import check as check_module
 from extlp import extlinalg as extlinalg_module
 from extlp import farkas as farkas_module
-from extlp.extlinalg import dot_weig, le_vec, mul_weig, neg_transpose, rat_transpose, rat_vector
+from extlp.extlinalg import dot_weig, le_vec, mul_weig, neg_transpose, rat_vector
 from extlp.elp import _check_pair
 from extlp.farkas import _bartl, _feasible, _simplex, solve_program
 from extlp.oracle import oracle_feasible_point
@@ -403,7 +403,7 @@ def fractional_system(rng: random.Random, max_dim: int = 7):
 def assert_matches_reference(a, b, n):
     """Both solvers take the branch ``_bartl`` takes on the same functionals,
     and every witness verifies."""
-    cols = rat_transpose([rat_vector(r) for r in a], ncols=n)
+    cols = tuple(zip(*[rat_vector(r) for r in a])) or ((),) * n
     rhs = rat_vector(b)
     eq = solve_equality(a, b, ncols=n)
     assert eq.is_primal == _bartl(cols, rhs).is_primal
