@@ -1,6 +1,7 @@
 """Every demo script runs to completion against the checkout's package and
 prints its golden output."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -14,11 +15,23 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_prints_its_golden(demo):
+@functools.lru_cache(maxsize=None)
+def run_demo(demo):
+    """One interpreter per demo, shared by both tests below."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs_cleanly(demo):
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_prints_its_golden(demo):
+    proc = run_demo(demo)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout == golden_text(f"demo_{demo.stem}.txt")
