@@ -10,7 +10,6 @@ return one of the two, and every witness can be re-checked by hand.
 from extlp import (
     ExtMatrix,
     ExtVector,
-    dual_infeasibility_search,
     solve_extended,
     solve_inequality,
     verify_dual_ext,
@@ -33,10 +32,10 @@ out = solve_inequality(a, b)
 print("empty system     ->", out)
 print("witness checks   ->", verify_dual_ineq(a, b, out.y))
 
-# The search utility answers only the infeasibility question: None for
+# The certificate alone answers only the infeasibility question: None for
 # solvable systems, a verifying certificate otherwise.
-print("search, solvable ->", dual_infeasibility_search([[-1]], [-1]))
-print("search, empty    ->", dual_infeasibility_search(a, b))
+print("search, solvable ->", solve_inequality([[-1]], [-1]).y)
+print("search, empty    ->", solve_inequality(a, b).y)
 
 # With endpoints the same story holds.  Here the first row is dead (a bot
 # entry makes it unsatisfiable-proof), the second is plainly false, and

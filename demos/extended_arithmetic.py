@@ -10,11 +10,11 @@ scale treats them differently on purpose.
 
 from fractions import Fraction
 
-from extlp import BOT, TOP, ZERO, DomainError, finite, smul_nn
+from extlp import BOT, TOP, ZERO, DomainError, ExtValue, smul_nn
 
 # Addition: bot wins every meeting, including the one with top.
-print("bot + 5   =", BOT + finite(5))
-print("top + 5   =", TOP + finite(5))
+print("bot + 5   =", BOT + ExtValue(5))
+print("top + 5   =", TOP + ExtValue(5))
 print("bot + top =", BOT + TOP)
 
 # Negation swaps the endpoints, but there is no subtraction to recover
@@ -28,7 +28,7 @@ print("top + (-top) =", TOP + (-TOP))
 print("0 * top =", smul_nn(0, TOP))
 print("0 * bot =", smul_nn(0, BOT))
 print("3 * bot =", smul_nn(3, BOT))
-print("2/3 * 9 =", smul_nn(Fraction(2, 3), finite(9)))
+print("2/3 * 9 =", smul_nn(Fraction(2, 3), ExtValue(9)))
 
 try:
     smul_nn(-1, TOP)
@@ -36,5 +36,5 @@ except DomainError as exc:
     print("negative scale:", exc)
 
 # The order is total: bot sits under every rational, top above.
-samples = [TOP, finite(-1000000), BOT, ZERO, finite(Fraction(1, 3))]
+samples = [TOP, ExtValue(-1000000), BOT, ZERO, ExtValue(Fraction(1, 3))]
 print("sorted:", " < ".join(str(v) for v in sorted(samples)))

@@ -243,7 +243,7 @@ _FARKAS_MODES = {
     "ineq": (solve_inequality, verify_primal_ineq, verify_dual_ineq),
     "ext": (solve_extended, verify_primal_ext, verify_dual_ext),
 }
-# the ineq solve, with its certificate read as (-A^T) y <= 0
+# the ineq solve, with its certificate read as (-A^T) y <= 0; kept, since bench/workloads.py's cli workload sends it
 _FARKAS_MODES["ineq-neg"] = _FARKAS_MODES["ineq"]
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "dualize",
     "CONDITIONS",
     "DUAL_CONDITION_SWAP",
-    "is_solution",
     "reaches",
     "is_feasible",
     "is_unbounded",
@@ -177,16 +176,11 @@ def dualize(p: ExtendedLP) -> ExtendedLP:
     return cls(neg_transpose(p.A), p.c, p.b)
 
 
-def is_solution(p: ExtendedLP, x: Sequence) -> bool:
-    """Whether finite ``x >= 0`` satisfies every constraint row."""
-    return verify_primal_ext(p.A, p.b, x)
-
-
 def reaches(p: ExtendedLP, x: Sequence) -> ExtValue:
     """The value ``c . x`` that the solution ``x`` reaches; a point that does
     not solve ``p`` raises PreconditionError."""
     xs = rat_vector(x)
-    if not is_solution(p, xs):
+    if not verify_primal_ext(p.A, p.b, xs):
         raise PreconditionError("reaches: the point does not solve the program")
     return dot_weig(p.c, xs)
 

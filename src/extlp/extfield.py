@@ -30,12 +30,10 @@ __all__ = [
     "BOT",
     "TOP",
     "ZERO",
-    "finite",
     "as_ext",
     "as_rational",
     "smul_nn",
     "parse_rational",
-    "format_rational",
     "parse_ext",
     "format_ext",
 ]
@@ -167,11 +165,6 @@ TOP = _ext(_TOP, None)
 ZERO = ExtValue(0)
 
 
-def finite(value) -> ExtValue:
-    """Wrap a rational as a finite extended value."""
-    return ExtValue(value)
-
-
 def as_ext(value) -> ExtValue:
     """Coerce to :class:`ExtValue`.
 
@@ -185,8 +178,8 @@ def as_ext(value) -> ExtValue:
     return ExtValue(value)
 
 
-def smul_nn(scale, v: ExtValue) -> ExtValue:
-    """Scale ``v`` by a nonnegative rational.
+def smul_nn(scale, v) -> ExtValue:
+    """Scale ``v``, coerced by :func:`as_ext`, by a nonnegative rational.
 
     ``bot`` is absorbing for every admissible scale, including zero; ``top``
     collapses to 0 under the zero scale and is preserved by positive ones.
@@ -195,6 +188,7 @@ def smul_nn(scale, v: ExtValue) -> ExtValue:
     c = as_rational(scale)
     if c < 0:
         raise DomainError(f"scalar action undefined for negative scale {c}")
+    v = as_ext(v)
     tag = v._tag
     if tag == _BOT:
         return BOT
@@ -223,11 +217,6 @@ def parse_rational(token: str) -> Fraction:
         raise DomainError(f"bad rational literal {token!r}: {exc}") from None
 
 
-def format_rational(q: Fraction) -> str:
-    """Canonical token: ``p`` for integers, ``p/q`` otherwise."""
-    return str(q)
-
-
 def parse_ext(token: str) -> ExtValue:
     """Parse an extended-value token: ``bot``, ``top`` or a rational literal."""
     t = token.strip()
@@ -244,4 +233,4 @@ def format_ext(v: ExtValue) -> str:
         return "bot"
     if v._tag == _TOP:
         return "top"
-    return format_rational(v._q)
+    return str(v._q)

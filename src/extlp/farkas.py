@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+# farkas calls none of these checks; it republishes them, since bench/workloads.py reads them as farkas.verify_*
 from .check import verify_dual_eq, verify_dual_ext, verify_dual_ineq, verify_primal_eq, verify_primal_ext, verify_primal_ineq
 from .errors import DimensionError, PreconditionError, TheoremViolationError
 from .extfield import BOT, TOP, ExtValue
@@ -43,7 +44,6 @@ __all__ = [
     "solve_inequality",
     "solve_extended",
     "system_preconditions",
-    "dual_infeasibility_search",
 ]
 
 _F0 = Fraction(0)
@@ -447,16 +447,3 @@ def solve_extended(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> FarkasOu
     if out.is_primal:
         return FarkasOutcome.primal(scatter(out.x, free, a.ncols))
     return FarkasOutcome.dual(scatter(out.y, live, a.nrows))
-
-
-def dual_infeasibility_search(a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:
-    """Search for ``y >= 0`` with ``A^T y >= 0`` and ``b . y < 0``; None if there is none.
-
-    It is the alternative of ``A x <= b, x >= 0``: the dual certificate of
-    the one run :func:`solve_inequality` makes, re-checked, or None.
-    """
-    mat, rhs, ncols = _rational_system(a, b, None)
-    y = _outcome(_simplex(mat, rhs, ncols, True)).y
-    if y is not None and not verify_dual_ineq(mat, rhs, y):
-        raise TheoremViolationError("search returned a non-verifying certificate")
-    return y

@@ -141,7 +141,8 @@ def oracle_solve_finite(a: Sequence[Sequence], b: Sequence, c: Sequence) -> Orac
 
 
 def fm_minimum(a: Sequence[Sequence], b: Sequence, c: Sequence) -> OracleResult:
-    """Fourier-Motzkin route for objectives in at most two variables.
+    """Fourier-Motzkin route for objectives in at most two variables, kept
+    as the reference that the tests check :func:`oracle_solve_finite` against.
 
     Minimizes ``t`` over ``{x >= 0, A x <= b, c . x <= t}`` by eliminating
     the ``x`` coordinates and reading the greatest surviving lower bound on

@@ -20,11 +20,10 @@ from extlp import (
     ExtendedLP,
     ExtMatrix,
     ExtVector,
+    ExtValue,
     GenConfig,
     dot_weig,
-    dual_infeasibility_search,
     dualize,
-    finite,
     gen_valid_elp,
     is_feasible,
     opposites_opt,
@@ -74,7 +73,7 @@ def check_counterexample_fixtures():
         # the optimum gap the validity conditions exist to rule out
         p_opt = oracle_solve_extended(p)
         d_opt = oracle_solve_extended(d)
-        assert p_opt.value == finite(0)
+        assert p_opt.value == ExtValue(0)
         assert d_opt.value == BOT
         assert not opposites_opt(p_opt, d_opt)
         for prog in (p, d):
@@ -139,8 +138,8 @@ def test_criterion_2_exclusivity_preconditions():
 def check_lunch_numbers():
     lunch = load_program("lunch.lp")
     p_opt, d_opt = optimum_pair(lunch)
-    assert p_opt.value == finite(Fraction(4093, 5730))
-    assert d_opt.value == finite(Fraction(-4093, 5730))
+    assert p_opt.value == ExtValue(Fraction(4093, 5730))
+    assert d_opt.value == ExtValue(Fraction(-4093, 5730))
     assert abs(float(p_opt.value.finite_value) - 0.714311) < 1e-5
 
     vertex = oracle_solve_finite(
@@ -154,8 +153,8 @@ def check_lunch_numbers():
 
     top_priced = ExtendedLP(lunch.A, lunch.b, [Fraction(23, 25), "top"])
     p_opt, d_opt = optimum_pair(top_priced)
-    assert p_opt.value == finite(Fraction(46, 45))
-    assert d_opt.value == finite(Fraction(-46, 45))
+    assert p_opt.value == ExtValue(Fraction(46, 45))
+    assert d_opt.value == ExtValue(Fraction(-46, 45))
     assert abs(float(p_opt.value.finite_value) - 1.022222) < 1e-5
 
 
@@ -212,14 +211,10 @@ def check_exclusivity_suite():
         a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         b = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
         out = solve_inequality(a, b)
-        certificate = dual_infeasibility_search(a, b)
         if out.is_primal:
             assert verify_primal_ineq(a, b, out.x)
-            assert certificate is None
         else:
             assert verify_dual_ineq(a, b, out.y)
-            assert certificate == out.y
-            assert verify_dual_ineq(a, b, certificate)
 
 
 def test_criterion_5_exclusivity_suite():
@@ -231,9 +226,9 @@ def test_criterion_5_exclusivity_suite():
 
 def check_algebra_tables():
     rng = random.Random(6)
-    finites = [finite(Fraction(rng.randint(-999, 999), rng.randint(1, 60))) for _ in range(200)]
+    finites = [ExtValue(Fraction(rng.randint(-999, 999), rng.randint(1, 60))) for _ in range(200)]
     values = [BOT, TOP] + finites
-    reps = [BOT, TOP, ZERO, finite(1), finite(Fraction(-7, 3))]
+    reps = [BOT, TOP, ZERO, ExtValue(1), ExtValue(Fraction(-7, 3))]
     scales = [Fraction(0), Fraction(1), Fraction(2), Fraction(5, 4)]
 
     for a in values:

@@ -14,6 +14,7 @@ from extlp import (
     DimensionError,
     DomainError,
     ExtendedLP,
+    ExtValue,
     GenConfig,
     InvalidProgramError,
     Optimum,
@@ -21,11 +22,9 @@ from extlp import (
     TheoremViolationError,
     ValidELP,
     dualize,
-    finite,
     gen_valid_elp,
     is_bounded_by,
     is_feasible,
-    is_solution,
     is_unbounded,
     opposites_opt,
     optimum,
@@ -33,6 +32,7 @@ from extlp import (
     reaches,
     strong_duality_check,
     validate,
+    verify_primal_ext,
     weak_duality_check,
 )
 from extlp import elp as elp_module
@@ -149,15 +149,15 @@ def test_dualize_on_generated_programs():
 
 
 def test_lunch_solutions(lunch):
-    assert is_solution(lunch, (Fraction(190, 573), Fraction(134, 573)))
-    assert is_solution(lunch, (Fraction(10, 9), 0))
-    assert not is_solution(lunch, (0, 0))
-    assert not is_solution(lunch, (-1, 1))
+    assert verify_primal_ext(lunch.A, lunch.b, (Fraction(190, 573), Fraction(134, 573)))
+    assert verify_primal_ext(lunch.A, lunch.b, (Fraction(10, 9), 0))
+    assert not verify_primal_ext(lunch.A, lunch.b, (0, 0))
+    assert not verify_primal_ext(lunch.A, lunch.b, (-1, 1))
 
 
 def test_reaches_values(lunch):
-    assert reaches(lunch, (Fraction(190, 573), Fraction(134, 573))) == finite(Fraction(4093, 5730))
-    assert reaches(lunch, (Fraction(10, 9), 0)) == finite(Fraction(46, 45))
+    assert reaches(lunch, (Fraction(190, 573), Fraction(134, 573))) == ExtValue(Fraction(4093, 5730))
+    assert reaches(lunch, (Fraction(10, 9), 0)) == ExtValue(Fraction(46, 45))
     with pytest.raises(PreconditionError):
         reaches(lunch, (0, 0))
 
@@ -184,7 +184,7 @@ def test_top_cost_column_is_forced_to_zero():
     loose = ExtendedLP([[-1, -1]], [-1], ["top", 0])
     assert validate(loose).is_valid
     assert is_feasible(loose)
-    assert optimum(loose).value == finite(0)
+    assert optimum(loose).value == ExtValue(0)
 
     tight = ExtendedLP([[-1, 1]], [-1], ["top", 0])
     assert validate(tight).is_valid
@@ -205,8 +205,8 @@ def test_infeasible_program():
 
 def test_lunch_optimum_pair(lunch):
     p_opt, d_opt = optimum_pair(lunch)
-    assert p_opt.value == finite(Fraction(4093, 5730))
-    assert d_opt.value == finite(Fraction(-4093, 5730))
+    assert p_opt.value == ExtValue(Fraction(4093, 5730))
+    assert d_opt.value == ExtValue(Fraction(-4093, 5730))
     assert opposites_opt(p_opt, d_opt)
     assert optimum(lunch) == p_opt
     assert optimum(dualize(lunch)) == d_opt
@@ -216,8 +216,8 @@ def test_lunch_optimum_pair(lunch):
 def test_lunch_with_top_price(lunch):
     p = ExtendedLP(lunch.A, lunch.b, [Fraction(23, 25), "top"])
     p_opt, d_opt = optimum_pair(p)
-    assert p_opt.value == finite(Fraction(46, 45))
-    assert d_opt.value == finite(Fraction(-46, 45))
+    assert p_opt.value == ExtValue(Fraction(46, 45))
+    assert d_opt.value == ExtValue(Fraction(-46, 45))
     assert strong_duality_check(p)
 
 
@@ -286,7 +286,7 @@ def test_side_decided_alone_stops_after_an_infeasible_primal(solves):
         ([[1, -1], [-1, 0]], [1, -1], [0, -1], (BOT, TOP)),
         # the top right-hand side drops the only row: residuals 0x2 and 2x0
         ([[1, 2]], ["top"], [1, -1], (BOT, TOP)),
-        ([[1, 2]], ["top"], [1, 1], (finite(0), finite(0))),
+        ([[1, 2]], ["top"], [1, 1], (ExtValue(0), ExtValue(0))),
         # infeasible primal (x0 + x1 <= 1 and >= 2), feasible dual
         ([[1, 1], [-1, -1]], [1, -2], [0, 0], (TOP, BOT)),
         # infeasible primal and dual
@@ -307,7 +307,7 @@ def test_artificials_basic_at_zero_leave_through_their_slack(solves):
     # basis they let phase 2 reach x = (2, 0), which breaks row 0
     p = ExtendedLP([[0, -2], [0, -2], [0, -1], [-1, -2]], [-2, -2, 0, -2], [0, 1])
     p_opt, d_opt = optimum_pair(p)
-    assert p_opt.value == finite(1) and d_opt.value == finite(-1)
+    assert p_opt.value == ExtValue(1) and d_opt.value == ExtValue(-1)
     assert len(solves) == 1
 
 
@@ -328,7 +328,7 @@ def planted_program(rng: random.Random, m: int, n: int) -> tuple[ExtendedLP, Fra
 def test_optimum_pair_on_a_planted_8x8_program():
     p, value = planted_program(random.Random(8), 8, 8)
     p_opt, d_opt = optimum_pair(p)
-    assert p_opt.value == finite(value) and d_opt.value == finite(-value)
+    assert p_opt.value == ExtValue(value) and d_opt.value == ExtValue(-value)
     assert opposites_opt(p_opt, d_opt)
 
 
@@ -336,7 +336,7 @@ def test_optimum_pair_on_a_planted_8x8_program():
 def test_optimum_pair_on_larger_planted_programs(n, solves):
     p, value = planted_program(random.Random(n), n, n)
     p_opt, d_opt = optimum_pair(p)
-    assert p_opt.value == finite(value) and d_opt.value == finite(-value)
+    assert p_opt.value == ExtValue(value) and d_opt.value == ExtValue(-value)
     assert len(solves) == 1
 
 
@@ -359,7 +359,7 @@ def ints(v) -> tuple:
 def test_the_check_accepts_an_optimal_pair(monkeypatch):
     monkeypatch.setattr(elp_module, "solve_program", lambda a, b, c: (ints(OPTIMAL_X), ints(OPTIMAL_Y)))
     p_opt, d_opt = optimum_pair(CHECKED)
-    assert p_opt.value == finite(-8) and d_opt.value == finite(8)
+    assert p_opt.value == ExtValue(-8) and d_opt.value == ExtValue(8)
 
 
 @pytest.mark.parametrize(
@@ -509,8 +509,8 @@ def test_weak_duality_fails_without_validity():
     # for every positive dual weight, which is why validity is an input
     p = load_program("p1.lp")
     d = dualize(p)
-    assert is_solution(p, (0,))
-    assert is_solution(d, (Fraction(1, 2), 0))
+    assert verify_primal_ext(p.A, p.b, (0,))
+    assert verify_primal_ext(d.A, d.b, (Fraction(1, 2), 0))
     assert weak_duality_check(p, (0,), (0, 0))
     assert not weak_duality_check(p, (0,), (Fraction(1, 2), 0))
 
@@ -551,7 +551,7 @@ def test_is_bounded_by(lunch):
 
 
 def test_optimum_tokens():
-    assert str(Optimum(finite(3))) == "3"
+    assert str(Optimum(ExtValue(3))) == "3"
     assert str(Optimum(BOT)) == "bot"
 
 
@@ -561,7 +561,7 @@ def test_an_optimum_is_never_none():
 
 
 def test_an_optimum_coerces_its_value():
-    assert Optimum("3/4") == Optimum(Fraction(3, 4)) == Optimum(finite(Fraction(3, 4)))
+    assert Optimum("3/4") == Optimum(Fraction(3, 4)) == Optimum(ExtValue(Fraction(3, 4)))
     assert hash(Optimum("3/4")) == hash(Optimum(Fraction(3, 4)))
     assert Optimum("top").value == TOP
     assert opposites_opt(Optimum(BOT), Optimum(TOP)) and opposites_opt(Optimum(0), Optimum(0))

@@ -1,5 +1,6 @@
 """Every program of shape 1x1, 1x2 and 2x1 with entries in {bot, top, -1, 0, 1},
-and, for the census, in {bot, top, -2, -1/2, 0, 1/2, 2}."""
+and, for the census, in {bot, top, -2, -1/2, 0, 1/2, 2}; every system of
+shape 1x1, 1x2, 2x1 and 1x3 with entries in {bot, top, -1, 0, 1}."""
 
 from fractions import Fraction
 from itertools import product
@@ -7,9 +8,10 @@ from itertools import product
 import pytest
 
 from extlp import BOT, TOP, ZERO, ExtValue, as_ext
-from extlp.elp import CONDITIONS, dualize, is_bounded_by, is_solution, validate, weak_duality_check
+from extlp.check import verify_primal_ext
+from extlp.elp import CONDITIONS, dualize, is_bounded_by, validate, weak_duality_check
 from extlp.oracle import oracle_solve_extended
-from exhaust import census, programs
+from exhaust import HYPOTHESES, census, programs, system_census
 
 # shape: programs, valid, both optima top; then the programs broken by one
 # condition alone, in CONDITIONS order: mixed_row, mixed_col, bot_row_bot_rhs,
@@ -52,6 +54,27 @@ def test_every_small_program_over_a_wider_domain_matches_the_oracle_and_the_dual
     assert_census(census(m, n, WIDE_VALUES), *WIDE_CENSUS[m, n])
 
 
+# shape: systems, those meeting the four hypotheses; then the systems that
+# fail one hypothesis alone and on which both sides of the alternative hold,
+# in HYPOTHESES order: mixed_row, mixed_col, top_row_top_rhs, bot_row_bot_rhs
+SYSTEM_CENSUS = {
+    (1, 1): (25, 23, (0, 0, 0, 1)),
+    (1, 2): (125, 101, (0, 0, 0, 7)),
+    (2, 1): (625, 497, (0, 4, 2, 29)),
+    (1, 3): (625, 431, (0, 0, 0, 37)),
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(SYSTEM_CENSUS))
+def test_every_small_system_obeys_the_extended_farkas_alternative(m, n):
+    counts = system_census(m, n)
+    systems, meeting, alone = SYSTEM_CENSUS[m, n]
+    assert (counts["systems"], counts["meeting"]) == (systems, meeting)
+    # under the hypotheses exactly one side holds, and solve_extended's verified
+    # witness picks it; a hypothesis that fails alone lets both hold, never neither
+    assert (counts["mismatches"], counts["neither"]) == (0, 0)
+    assert tuple(counts[name] for name in HYPOTHESES) == alone
+
 
 # shape: the (x, y) pairs of 0/1 points that solve a valid program and its
 # dual; then the programs that fail one condition alone and break weak
@@ -72,8 +95,8 @@ def test_every_small_program_is_bounded_by_its_oracle_optimum_and_obeys_weak_dua
         reference = oracle_solve_extended(p).value
         bound_mismatches += sum(is_bounded_by(p, r) != (ExtValue(r) <= reference) for r in (-1, 0, 1))
         d = dualize(p)
-        xs = [x for x in product((0, 1), repeat=n) if is_solution(p, x)]
-        ys = [y for y in product((0, 1), repeat=m) if is_solution(d, y)]
+        xs = [x for x in product((0, 1), repeat=n) if verify_primal_ext(p.A, p.b, x)]
+        ys = [y for y in product((0, 1), repeat=m) if verify_primal_ext(d.A, d.b, y)]
         broken = not all(weak_duality_check(p, x, y) for x in xs for y in ys)
         failed = validate(p).failed()
         if not failed:

@@ -17,7 +17,6 @@ from extlp import (
     ExtValue,
     as_ext,
     as_rational,
-    finite,
     format_ext,
     parse_ext,
     parse_rational,
@@ -29,9 +28,9 @@ rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10
 
 def sample_values(n: int, seed: int = 7) -> list[ExtValue]:
     rng = random.Random(seed)
-    out = [BOT, TOP, ZERO, finite(1), finite(-1)]
+    out = [BOT, TOP, ZERO, ExtValue(1), ExtValue(-1)]
     while len(out) < n:
-        out.append(finite(Fraction(rng.randint(-999, 999), rng.randint(1, 50))))
+        out.append(ExtValue(Fraction(rng.randint(-999, 999), rng.randint(1, 50))))
     return out
 
 
@@ -49,13 +48,13 @@ def test_as_rational_rejects_floats_and_bools():
 
 def test_as_ext_passthrough_and_coercion():
     assert as_ext(BOT) is BOT
-    assert as_ext(3) == finite(3)
-    assert as_ext("1/2") == finite(Fraction(1, 2))
+    assert as_ext(3) == ExtValue(3)
+    assert as_ext("1/2") == ExtValue(Fraction(1, 2))
     assert as_ext(Fraction(5, 7)).finite_value == Fraction(5, 7)
 
 
 def test_finite_value_access():
-    v = finite(Fraction(2, 3))
+    v = ExtValue(Fraction(2, 3))
     assert v.is_finite and v.finite_value == Fraction(2, 3)
     assert not BOT.is_finite and BOT.is_bot
     assert not TOP.is_finite and TOP.is_top
@@ -72,10 +71,10 @@ def test_add_endpoint_table():
     assert BOT + TOP == BOT
     assert TOP + BOT == BOT
     assert TOP + TOP == TOP
-    assert BOT + finite(5) == BOT
-    assert TOP + finite(5) == TOP
-    assert finite(5) + BOT == BOT
-    assert finite(5) + TOP == TOP
+    assert BOT + ExtValue(5) == BOT
+    assert TOP + ExtValue(5) == TOP
+    assert ExtValue(5) + BOT == BOT
+    assert ExtValue(5) + TOP == TOP
 
 
 def test_add_commutative_over_samples():
@@ -101,7 +100,7 @@ def test_zero_is_identity():
 
 @given(rationals, rationals)
 def test_finite_add_matches_fraction(p, q):
-    assert finite(p) + finite(q) == finite(p + q)
+    assert ExtValue(p) + ExtValue(q) == ExtValue(p + q)
 
 
 # --- negation ---
@@ -110,14 +109,14 @@ def test_finite_add_matches_fraction(p, q):
 def test_neg_swaps_endpoints():
     assert -BOT == TOP
     assert -TOP == BOT
-    assert -finite(3) == finite(-3)
+    assert -ExtValue(3) == ExtValue(-3)
 
 
 @given(rationals, rationals)
 def test_computed_values_equal_constructed_ones(p, q):
     # negation, sums and scaling wrap the Fraction they compute without the
     # constructor's coercion; the results equal and hash like constructed ones
-    cases = [(-finite(p), -p), (finite(p) + finite(q), p + q), (smul_nn(abs(q), finite(p)), abs(q) * p)]
+    cases = [(-ExtValue(p), -p), (ExtValue(p) + ExtValue(q), p + q), (smul_nn(abs(q), ExtValue(p)), abs(q) * p)]
     for got, want in cases:
         assert got == ExtValue(want) and hash(got) == hash(ExtValue(want))
         assert type(got.finite_value) is Fraction
@@ -156,7 +155,7 @@ def test_neg_is_not_an_additive_inverse_at_endpoints():
 
 
 def test_order_endpoints():
-    assert BOT < finite(-(10**9)) < TOP
+    assert BOT < ExtValue(-(10**9)) < TOP
     assert BOT < TOP
     assert not TOP < BOT
     assert BOT <= BOT and TOP <= TOP
@@ -175,7 +174,7 @@ def test_order_total_and_transitive():
 
 def test_greater_is_the_reflected_less():
     # ExtValue defines only < and <=; Python answers > and >= by reflecting them
-    vals = [BOT, finite(-1), ZERO, finite(Fraction(1, 2)), TOP]
+    vals = [BOT, ExtValue(-1), ZERO, ExtValue(Fraction(1, 2)), TOP]
     for a in vals:
         for b in vals:
             assert (a > b) == (b < a)
@@ -188,7 +187,7 @@ def test_greater_is_the_reflected_less():
 
 @given(rationals, rationals)
 def test_finite_order_matches_fraction(p, q):
-    assert (finite(p) < finite(q)) == (p < q)
+    assert (ExtValue(p) < ExtValue(q)) == (p < q)
 
 
 def test_add_monotone_in_each_argument():
@@ -205,7 +204,7 @@ def test_add_monotone_in_each_argument():
 
 def test_smul_rejects_negative_scale():
     with pytest.raises(DomainError):
-        smul_nn(-1, finite(2))
+        smul_nn(-1, ExtValue(2))
     with pytest.raises(DomainError):
         smul_nn(Fraction(-1, 3), TOP)
 
@@ -216,8 +215,16 @@ def test_smul_endpoint_table():
     assert smul_nn(0, TOP) == ZERO
     assert smul_nn(3, BOT) == BOT
     assert smul_nn(3, TOP) == TOP
-    assert smul_nn(0, finite(9)) == ZERO
-    assert smul_nn(Fraction(2, 3), finite(9)) == finite(6)
+    assert smul_nn(0, ExtValue(9)) == ZERO
+    assert smul_nn(Fraction(2, 3), ExtValue(9)) == ExtValue(6)
+
+
+def test_smul_coerces_the_value_as_as_ext_does():
+    assert smul_nn(2, 3) == ExtValue(6)
+    assert smul_nn(0, "bot") == BOT
+    assert smul_nn(1, "top") == TOP
+    with pytest.raises(DomainError):
+        smul_nn(1, 1.5)
 
 
 def test_smul_action_laws():
@@ -253,7 +260,7 @@ def test_smul_order_monotone():
 
 def test_no_value_times_value_product():
     with pytest.raises(TypeError):
-        finite(2) * finite(3)  # type: ignore[operator]
+        ExtValue(2) * ExtValue(3)  # type: ignore[operator]
 
 
 # --- parsing and formatting ---
@@ -265,10 +272,10 @@ def test_no_value_times_value_product():
         ("bot", BOT),
         ("top", TOP),
         ("0", ZERO),
-        ("-30", finite(-30)),
-        ("23/25", finite(Fraction(23, 25))),
-        ("0.92", finite(Fraction(23, 25))),
-        ("-1.75", finite(Fraction(-7, 4))),
+        ("-30", ExtValue(-30)),
+        ("23/25", ExtValue(Fraction(23, 25))),
+        ("0.92", ExtValue(Fraction(23, 25))),
+        ("-1.75", ExtValue(Fraction(-7, 4))),
     ],
 )
 def test_parse_ext(text, value):
@@ -296,21 +303,21 @@ def test_parse_refuses_digit_separators():
 
 def test_parse_refuses_an_exponent_over_the_digit_limit():
     limit = sys.get_int_max_str_digits()
-    assert parse_ext(f"1e{limit}") == finite(10**limit)
-    assert parse_ext(f"2.5E-{limit}") == finite(Fraction(25, 10 ** (limit + 1)))
+    assert parse_ext(f"1e{limit}") == ExtValue(10**limit)
+    assert parse_ext(f"2.5E-{limit}") == ExtValue(Fraction(25, 10 ** (limit + 1)))
     # 1e999999999 would otherwise build 10**999999999 and hang
     for bad in (f"1e{limit + 1}", f"-1E-{limit + 1}", "1e999999999", "3/4e5", "1e5x"):
         with pytest.raises(DomainError):
             parse_ext(bad)
     sys.set_int_max_str_digits(0)
     try:
-        assert parse_ext(f"1e{limit + 1}") == finite(10 ** (limit + 1))
+        assert parse_ext(f"1e{limit + 1}") == ExtValue(10 ** (limit + 1))
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 def test_repr_and_hash_consistency():
-    assert hash(finite(Fraction(4, 2))) == hash(finite(2))
-    assert len({BOT, TOP, ZERO, finite(0)}) == 3
+    assert hash(ExtValue(Fraction(4, 2))) == hash(ExtValue(2))
+    assert len({BOT, TOP, ZERO, ExtValue(0)}) == 3
     assert str(BOT) == "bot" and str(TOP) == "top"
     assert repr(BOT) == "BOT" and repr(TOP) == "TOP"

@@ -16,18 +16,17 @@ from extlp import (
     ExtValue,
     ExtVector,
     dot_weig,
-    finite,
     le_vec,
     mul_weig,
     neg_transpose,
     rat_vector,
 )
-from extlp import extlinalg
+from extlp import elp, extfield, extlinalg, farkas
 from extlp.extlinalg import rat_dot, scatter
 
 
 def random_ext_vector(rng: random.Random, n: int, extra: tuple = ()) -> ExtVector:
-    pool = [BOT, TOP, *extra] + [finite(rng.randint(-9, 9)) for _ in range(4)]
+    pool = [BOT, TOP, *extra] + [ExtValue(rng.randint(-9, 9)) for _ in range(4)]
     return ExtVector([rng.choice(pool) for _ in range(n)])
 
 
@@ -36,7 +35,7 @@ def random_ext_vector(rng: random.Random, n: int, extra: tuple = ()) -> ExtVecto
 
 def test_vector_coerces_and_is_immutable():
     v = ExtVector([1, "bot", "3/4"])
-    assert v[0] == finite(1) and v[1] == BOT and v[2] == finite(Fraction(3, 4))
+    assert v[0] == ExtValue(1) and v[1] == BOT and v[2] == ExtValue(Fraction(3, 4))
     with pytest.raises(TypeError):
         v[0] = ZERO  # type: ignore[index]
     assert len(v) == 3
@@ -86,8 +85,8 @@ def test_dot_weig_examples():
     # weights act on entries; a zero weight still keeps bot absorbing
     assert dot_weig(ExtVector([BOT, TOP]), rat_vector([0, 1])) == BOT
     assert dot_weig(ExtVector([TOP, BOT]), rat_vector([1, 0])) == BOT
-    assert dot_weig(ExtVector([TOP, finite(2)]), rat_vector([0, 3])) == finite(6)
-    assert dot_weig(ExtVector([TOP, finite(2)]), rat_vector([1, 3])) == TOP
+    assert dot_weig(ExtVector([TOP, ExtValue(2)]), rat_vector([0, 3])) == ExtValue(6)
+    assert dot_weig(ExtVector([TOP, ExtValue(2)]), rat_vector([1, 3])) == TOP
     assert dot_weig(ExtVector([]), rat_vector([])) == ZERO
 
 
@@ -113,7 +112,7 @@ def test_dot_weig_permutation_invariant():
 def test_mul_weig_is_rowwise_dot():
     m = ExtMatrix([[BOT, 1], [2, TOP], [0, -5]])
     w = rat_vector([1, 2])
-    assert mul_weig(m, w) == ExtVector([BOT, TOP, finite(-10)])
+    assert mul_weig(m, w) == ExtVector([BOT, TOP, ExtValue(-10)])
     for i in range(3):
         assert mul_weig(m, w)[i] == dot_weig(m[i], w)
 
@@ -140,7 +139,7 @@ def test_neg_transpose_involution():
     # each negation reuses a numerator and a denominator, some over 2**64;
     # twice over, the matrix and its rows' indexes come back and hash alike
     rng = random.Random(5)
-    big = [finite(Fraction(rng.randint(-(2**70), 2**70), rng.randint(1, 2**66))) for _ in range(3)]
+    big = [ExtValue(Fraction(rng.randint(-(2**70), 2**70), rng.randint(1, 2**66))) for _ in range(3)]
     for k in range(160):
         nr, nc = rng.randint(0, 4), rng.randint(0, 4)
         m = ExtMatrix([random_ext_vector(rng, nc, big if k % 2 else ()) for _ in range(nr)], ncols=nc)
@@ -153,7 +152,7 @@ def test_neg_transpose_equals_a_rebuild_through_the_constructor():
     # the constructor coerces, checks the shape and scans for endpoints;
     # neg_transpose trusts m and must build the same matrix
     rng = random.Random(17)
-    pool = [BOT, TOP] + [finite(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(4)]
+    pool = [BOT, TOP] + [ExtValue(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(4)]
     shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(120)]
     for nr, nc in shapes:
         m = ExtMatrix([[rng.choice(pool) for _ in range(nc)] for _ in range(nr)], ncols=nc)
@@ -222,6 +221,13 @@ def test_the_helpers_no_solver_called_are_gone():
     assert not hasattr(extlinalg, "nonneg_vector") and not hasattr(extlinalg, "rat_identity")
     assert not hasattr(extlinalg, "rat_mat_vec") and not hasattr(extlinalg, "rat_transpose")
     assert not hasattr(ExtMatrix, "col")
+
+
+def test_the_names_that_restate_another_are_gone():
+    # ExtValue, str of a Fraction, verify_primal_ext(p.A, p.b, x) and solve_inequality(a, b).y say each
+    for module, name in ((extfield, "finite"), (extfield, "format_rational"), (elp, "is_solution"),
+                         (farkas, "dual_infeasibility_search")):
+        assert not hasattr(module, name) and not hasattr(extlp, name), name
 
 
 def test_scatter_re_expands_masked_witnesses():

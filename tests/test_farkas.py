@@ -14,7 +14,6 @@ from extlp import (
     ExtMatrix,
     ExtVector,
     PreconditionError,
-    dual_infeasibility_search,
     farkas_bartl,
     solve_equality,
     solve_extended,
@@ -198,18 +197,18 @@ def test_equality_branches_agree_with_double_inequality_oracle():
         assert out.is_primal == (point is not None)
 
 
-# --- infeasibility search ---
+# --- the dual certificate alone: solve_inequality(a, b).y ---
 
 
 def test_search_returns_none_on_feasible_systems():
-    assert dual_infeasibility_search([[-27, -90], [-1300, -1150]], [-30, -700]) is None
-    assert dual_infeasibility_search([[-1]], [-1]) is None
+    assert solve_inequality([[-27, -90], [-1300, -1150]], [-30, -700]).y is None
+    assert solve_inequality([[-1]], [-1]).y is None
 
 
 def test_search_certifies_infeasible_systems():
     a = [[1], [-1]]
     b = [1, -2]
-    y = dual_infeasibility_search(a, b)
+    y = solve_inequality(a, b).y
     assert y is not None and verify_dual_ineq(a, b, y)
 
 

@@ -9,10 +9,10 @@ from extlp import (
     BOT,
     TOP,
     DimensionError,
+    ExtValue,
     GenConfig,
     GenerationBudgetError,
     ScaleLimitError,
-    finite,
     gen_valid_elp,
     is_feasible,
     opposites_opt,
@@ -132,7 +132,7 @@ def test_extended_oracle_on_counterexample_fixtures():
         for p_name, d_name in pairs:
             p_opt = solve(load_program(p_name))
             d_opt = solve(load_program(d_name))
-            assert p_opt.value == finite(0), (solve.__name__, p_name)
+            assert p_opt.value == ExtValue(0), (solve.__name__, p_name)
             assert d_opt.value == BOT, (solve.__name__, d_name)
             assert not opposites_opt(p_opt, d_opt)
 
@@ -164,10 +164,10 @@ def test_certified_optimum_matches_oracle_on_invalid_programs():
 
 
 def test_extended_oracle_agrees_with_pipeline_on_lunch(lunch):
-    assert oracle_solve_extended(lunch).value == finite(Fraction(4093, 5730))
-    assert oracle_solve_extended(dualize(lunch)).value == finite(Fraction(-4093, 5730))
+    assert oracle_solve_extended(lunch).value == ExtValue(Fraction(4093, 5730))
+    assert oracle_solve_extended(dualize(lunch)).value == ExtValue(Fraction(-4093, 5730))
     top_priced = ExtendedLP(lunch.A, lunch.b, [Fraction(23, 25), "top"])
-    assert oracle_solve_extended(top_priced).value == finite(Fraction(46, 45))
+    assert oracle_solve_extended(top_priced).value == ExtValue(Fraction(46, 45))
 
 
 def test_extended_oracle_statuses():

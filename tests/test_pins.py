@@ -1,8 +1,8 @@
 """The pinned answer and witness hashes and the pinned package surface.
 
 A changed optimum, witness or optimal pair changes a hash line of
-``tests/hashes.py``; a public name dropped from a module's ``__all__``, and
-so from ``extlp``, changes the surface line.
+``tests/hashes.py``; a public name added to or dropped from a module's
+``__all__``, and so from ``extlp``, fails the surface test, which names it.
 """
 
 import os
@@ -15,9 +15,21 @@ import hashes
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SURFACE = (
-    "import hashlib, types, extlp\n"
-    "names = sorted(n for n, v in vars(extlp).items() if not n.startswith('_') and not isinstance(v, types.ModuleType))\n"
-    "print(len(names), hashlib.sha256('\\n'.join(names).encode()).hexdigest()[:16])\n"
+    "import types, extlp\n"
+    "print(*sorted(n for n, v in vars(extlp).items() if not n.startswith('_') and not isinstance(v, types.ModuleType)))\n"
+)
+
+# the public names of a fresh ``import extlp``, sorted; the oracle's names load on first use, so none is here
+NAMES = (
+    "BOT", "CONDITIONS", "DUAL_CONDITION_SWAP", "DimensionError", "DomainError", "ExtLPError", "ExtMatrix",
+    "ExtValue", "ExtVector", "ExtendedLP", "FarkasOutcome", "GenerationBudgetError", "InvalidProgramError",
+    "LPFormatError", "Optimum", "PreconditionError", "ScaleLimitError", "TOP", "TheoremViolationError",
+    "ValidELP", "ValidityReport", "ZERO", "as_ext", "as_rational", "dot_weig", "dualize", "farkas_bartl",
+    "format_ext", "is_bounded_by", "is_feasible", "is_unbounded", "le_vec", "mul_weig", "neg_transpose",
+    "opposites_opt", "optimum", "optimum_pair", "parse_ext", "parse_rational", "rat_vector", "reaches",
+    "smul_nn", "solve_equality", "solve_extended", "solve_inequality", "strong_duality_check",
+    "system_preconditions", "validate", "verify_dual_eq", "verify_dual_ext", "verify_dual_ineq",
+    "verify_primal_eq", "verify_primal_ext", "verify_primal_ineq", "weak_duality_check",
 )
 
 
@@ -31,4 +43,4 @@ def test_a_fresh_import_of_extlp_has_the_pinned_surface():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", SURFACE], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "59 212a1364228cbce6\n"
+    assert tuple(proc.stdout.split()) == NAMES
