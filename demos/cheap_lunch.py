@@ -15,12 +15,12 @@ from extlp import (
     ValidELP,
     dualize,
     optimum_pair,
-    oracle_solve_finite,
     reaches,
     strong_duality_check,
     validate,
     weak_duality_check,
 )
+from extlp.oracle import oracle_solve_finite
 
 # Rows: -protein and -energy per unit, costs per unit in the objective.
 lunch = ValidELP(

@@ -11,15 +11,13 @@ import argparse
 from collections import Counter
 
 from extlp import (
-    GenConfig,
     dualize,
-    gen_valid_elp,
     is_feasible,
     opposites_opt,
     optimum_pair,
-    oracle_solve_extended,
     strong_duality_check,
 )
+from extlp.oracle import GenConfig, gen_valid_elp, oracle_solve_extended
 
 
 def main() -> None:

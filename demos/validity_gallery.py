@@ -13,9 +13,9 @@ from extlp import (
     ExtendedLP,
     dualize,
     opposites_opt,
-    oracle_solve_extended,
     validate,
 )
+from extlp.oracle import oracle_solve_extended
 
 GALLERY = [
     ExtendedLP([["bot"], ["top"]], [-1, 0], [0]),

@@ -15,10 +15,8 @@ The pieces, bottom to top:
 
 Each module's ``__all__`` is the one list of its public names; the package
 republishes those of ``errors`` and of every module above but the oracle and
-the CLI.  ``import extlp`` loads no oracle: it loads on the first read of
-``extlp.oracle`` or of one of its names, so only its users pay for it, and
-those names stay listed in ``_ORACLE_NAMES`` because the loader must know them
-before the oracle is imported.
+the CLI.  ``import extlp`` loads neither: their names are read from
+``extlp.oracle`` and ``extlp.cli``.
 """
 
 from .errors import *
@@ -27,19 +25,5 @@ from .extlinalg import *
 from .check import *
 from .farkas import *
 from .elp import *
-
-# served from the oracle, which loads on the first read of one of them (PEP 562)
-_ORACLE_NAMES = {"GenConfig", "OracleResult", "fm_minimum", "gen_valid_elp",
-                 "oracle_feasible_point", "oracle_solve_extended", "oracle_solve_finite"}
-
-
-def __getattr__(name: str):
-    if name != "oracle" and name not in _ORACLE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    oracle = import_module(".oracle", __name__)
-    return oracle if name == "oracle" else getattr(oracle, name)
-
 
 __version__ = "0.1.0"

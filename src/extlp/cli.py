@@ -32,7 +32,7 @@ import os
 import sys
 
 from .errors import DomainError, LPFormatError, ScaleLimitError, TheoremViolationError
-from .extfield import format_ext, parse_ext
+from .extfield import parse_ext
 from .extlinalg import ExtMatrix, ExtVector
 from .check import (
     verify_dual_eq,
@@ -131,9 +131,9 @@ def parse_program_text(text: str) -> tuple[ExtMatrix, ExtVector, ExtVector | Non
 
 def _program_fields(a: ExtMatrix, b: ExtVector, c: ExtVector | None) -> dict:
     """A program's shape and entry tokens, read by the file format and by a JSON report."""
-    fields = {"rows": a.nrows, "cols": a.ncols, "A": [[format_ext(e) for e in row] for row in a], "b": [format_ext(e) for e in b]}
+    fields = {"rows": a.nrows, "cols": a.ncols, "A": [[str(e) for e in row] for row in a], "b": [str(e) for e in b]}
     if c is not None:
-        fields["c"] = [format_ext(e) for e in c]
+        fields["c"] = [str(e) for e in c]
     return fields
 
 
@@ -187,7 +187,7 @@ def _report(ctx: dict, body: dict, as_json: bool) -> str:
 
 def _cmd_validate(prog: ExtendedLP, ctx: dict, args: argparse.Namespace) -> tuple[str, int]:
     report = validate(prog)
-    body = dict(rows=prog.A.nrows, cols=prog.A.ncols, conditions=report.as_dict(), valid=report.is_valid)
+    body = dict(rows=prog.A.nrows, cols=prog.A.ncols, conditions=report._asdict(), valid=report.is_valid)
     return _report(ctx, body, args.json), (EXIT_OK if report.is_valid else EXIT_PRECONDITION)
 
 

@@ -105,10 +105,6 @@ class ExtendedLP(_Record, namedtuple("ExtendedLP", "A b c")):
             raise DimensionError(f"c has {len(c)} entries for {a.ncols} columns")
         return super().__new__(cls, a, b, c)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.A.shape
-
 
 class ValidityReport(_Record, namedtuple("ValidityReport", CONDITIONS)):
     """Per-condition violating indices; a valid program has all six empty."""
@@ -119,11 +115,8 @@ class ValidityReport(_Record, namedtuple("ValidityReport", CONDITIONS)):
     def is_valid(self) -> bool:
         return not self.failed()
 
-    def as_dict(self) -> dict[str, tuple[int, ...]]:
-        return self._asdict()
-
     def failed(self) -> dict[str, tuple[int, ...]]:
-        return {name: idx for name, idx in self.as_dict().items() if idx}
+        return {name: idx for name, idx in self._asdict().items() if idx}
 
 
 def validate(p: ExtendedLP) -> ValidityReport:
@@ -239,10 +232,10 @@ def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | 
     live, keep, bot_cost = kept
     # the masks keep finite entries only, so each rational is read unchecked
     if dual is None:
-        rows = [a.rows[i].entries for i in live]
+        rows = [a[i].entries for i in live]
         sub = [tuple([r[j]._q for j in keep]) for r in rows]
     else:
-        rows = [a.rows[i].entries for i in keep]
+        rows = [a[i].entries for i in keep]
         sub = [tuple([_neg_q(r[j]._q) for r in rows]) for j in live]
     b, c = b.entries, c.entries
     rhs = [b[i]._q for i in live]

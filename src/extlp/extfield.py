@@ -35,7 +35,6 @@ __all__ = [
     "smul_nn",
     "parse_rational",
     "parse_ext",
-    "format_ext",
 ]
 
 _BOT = -1
@@ -140,7 +139,11 @@ class ExtValue:
         return f"ExtValue('{self._q}')"
 
     def __str__(self):
-        return format_ext(self)
+        if self._tag == _BOT:
+            return "bot"
+        if self._tag == _TOP:
+            return "top"
+        return str(self._q)
 
 
 def _ext(tag: int, q: Fraction | None) -> ExtValue:
@@ -218,19 +221,10 @@ def parse_rational(token: str) -> Fraction:
 
 
 def parse_ext(token: str) -> ExtValue:
-    """Parse an extended-value token: ``bot``, ``top`` or a rational literal."""
+    """Parse an extended-value token, ``bot``, ``top`` or a rational literal: the inverse of ``str``."""
     t = token.strip()
     if t == "bot":
         return BOT
     if t == "top":
         return TOP
     return ExtValue(parse_rational(t))
-
-
-def format_ext(v: ExtValue) -> str:
-    """Inverse of :func:`parse_ext`; lossless for rationals."""
-    if v._tag == _BOT:
-        return "bot"
-    if v._tag == _TOP:
-        return "top"
-    return str(v._q)

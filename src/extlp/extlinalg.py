@@ -121,10 +121,6 @@ class ExtMatrix:
         return (len(self._rows), self._ncols)
 
     @property
-    def rows(self) -> tuple[ExtVector, ...]:
-        return self._rows
-
-    @property
     def bots(self) -> tuple[tuple[int, int], ...]:
         return self._bots
 

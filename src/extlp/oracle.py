@@ -242,6 +242,11 @@ class GenConfig(_Record, namedtuple("GenConfig", "rows cols magnitude infinity_p
 
     def __new__(cls, *args, **kwargs):
         cfg = super().__new__(cls, *args, **kwargs)
+        # a bool is an int, and True would silently mean 1
+        for name, v in zip(cfg._fields, cfg):
+            kinds = (int, float, Fraction) if name == "infinity_prob" else (int,)
+            if name != "seed" and (isinstance(v, bool) or not isinstance(v, kinds)):
+                raise ScaleLimitError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, not {type(v).__name__}")
         if cfg.rows < 1 or cfg.cols < 1:
             raise ScaleLimitError(f"generator needs at least one row and one column, got {cfg.rows}x{cfg.cols}")
         if cfg.magnitude < 0:

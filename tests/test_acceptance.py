@@ -21,16 +21,11 @@ from extlp import (
     ExtMatrix,
     ExtVector,
     ExtValue,
-    GenConfig,
     dot_weig,
     dualize,
-    gen_valid_elp,
     is_feasible,
     opposites_opt,
     optimum_pair,
-    oracle_feasible_point,
-    oracle_solve_extended,
-    oracle_solve_finite,
     smul_nn,
     solve_inequality,
     strong_duality_check,
@@ -40,6 +35,13 @@ from extlp import (
     verify_primal_ext,
     verify_primal_ineq,
     system_preconditions,
+)
+from extlp.oracle import (
+    GenConfig,
+    gen_valid_elp,
+    oracle_feasible_point,
+    oracle_solve_extended,
+    oracle_solve_finite,
 )
 from conftest import load_program
 
@@ -276,8 +278,8 @@ def check_structural_identities():
         p_report = validate(p)
         d_report = validate(d)
         assert p_report.is_valid and d_report.is_valid
-        for name, idxs in p_report.as_dict().items():
-            assert d_report.as_dict()[DUAL_CONDITION_SWAP[name]] == idxs
+        for name, idxs in p_report._asdict().items():
+            assert d_report._asdict()[DUAL_CONDITION_SWAP[name]] == idxs
 
 
 def test_criterion_7_structural_identities():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -26,7 +27,7 @@ from extlp.cli import (
     parse_program_text,
 )
 from extlp.elp import ExtendedLP, Optimum, dualize
-from extlp.extfield import ZERO, format_ext
+from extlp.extfield import ZERO
 from extlp.farkas import FarkasOutcome
 from extlp.oracle import oracle_solve_extended
 from conftest import fixture_path, golden_text
@@ -319,6 +320,54 @@ def test_no_input_escapes_the_documented_exit_codes(tmp_path_factory, data, comm
     assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_PARSE), err.getvalue()
 
 
+
+# odd literals: a division by zero, an exponent over the limit, a non-ASCII digit, an underscore, a NUL, a
+# byte-order mark, the two endpoints, and a header word
+_ODD_TOKENS = ("1/0", "0/0", "1e4300", "\u0661", "1_0", "\x00", "\ufeff", "bot", "top", "rows")
+_REQUESTS = [["validate"], ["dualize"], ["solve"], ["solve", "--oracle"]] + [
+    ["farkas", "--mode", mode] for mode in ("eq", "ineq", "ineq-neg", "ext")
+]
+
+
+def _mutate(rng, text):
+    """``text`` with one token swapped for an odd one, one line dropped, duplicated or swapped with
+    another, or an odd token appended to a line."""
+    lines = text.splitlines()
+    i, j, kind = rng.randrange(len(lines)), rng.randrange(len(lines)), rng.randrange(5)
+    if kind == 0:
+        tokens = lines[i].split(" ")
+        tokens[rng.randrange(len(tokens))] = rng.choice(_ODD_TOKENS)
+        lines[i] = " ".join(tokens)
+    elif kind == 1:
+        del lines[i]
+    elif kind == 2:
+        lines.insert(i, lines[i])
+    elif kind == 3:
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[i] += " " + rng.choice(_ODD_TOKENS)
+    return "\n".join(lines) + "\n"
+
+
+def test_seeded_mutations_of_the_fixtures_keep_the_exit_code_contract(tmp_path):
+    # every request and flag pair 125 times, each on a fresh mutation of a fixture
+    rng = random.Random(1)
+    fixtures = [f.read_text(encoding="utf-8") for f in sorted(fixture_path("lunch.lp").parent.glob("*.lp"))]
+    path = tmp_path / "mutant.lp"
+    seen = set()
+    for n in range(2000):
+        path.write_text(_mutate(rng, rng.choice(fixtures)), encoding="utf-8")
+        command = _REQUESTS[n % len(_REQUESTS)]
+        argv = [command[0], str(path), *command[1:]] + ["--json"] * (n // len(_REQUESTS) % 2)
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_PARSE), (argv, path.read_text(encoding="utf-8"), err.getvalue())
+        if code == EXIT_PARSE:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+        seen.add(code)
+    assert seen == {EXIT_OK, EXIT_PRECONDITION, EXIT_PARSE}
+
+
 # --- seed plumbing ---
 
 
@@ -427,7 +476,7 @@ def _text_fields(text):
     if text.startswith("# "):
         a, b, c = parse_program_text(text)
         fields = dict(line[2:].split(" ", 1) for line in text.splitlines() if line.startswith("# "))
-        tokens = lambda entries: [format_ext(e) for e in entries]  # noqa: E731
+        tokens = lambda entries: [str(e) for e in entries]  # noqa: E731
         fields["program"] = {"rows": a.nrows, "cols": a.ncols, "A": [tokens(r) for r in a], "b": tokens(b), "c": tokens(c)}
         return fields
     fields = {}
@@ -576,7 +625,8 @@ def test_a_plain_request_loads_neither_the_oracle_nor_json_nor_dataclasses():
         "    for command in ('validate', 'dualize', 'solve', 'farkas'):\n"
         "        extlp.cli.main([command, sys.argv[1]])\n"
         "print(sorted({'dataclasses', 'json', 'extlp.oracle'} & (set(sys.modules) - before)))\n"
-        "from extlp import oracle, oracle_solve_extended\n"
+        "from extlp import oracle\n"
+        "from extlp.oracle import oracle_solve_extended\n"
         "print(oracle_solve_extended is oracle.oracle_solve_extended)\n"
     )
     proc = subprocess.run(
@@ -588,12 +638,29 @@ def test_a_plain_request_loads_neither_the_oracle_nor_json_nor_dataclasses():
 
 def test_the_package_serves_the_oracle_names():
     import extlp
-    from extlp import oracle, oracle_solve_extended
+    from extlp import oracle
+    from extlp.oracle import (
+        INFEASIBLE, OPTIMAL, UNBOUNDED, GenConfig, OracleResult, fm_minimum, gen_valid_elp, oracle_feasible_point,
+        oracle_solve_extended, oracle_solve_finite,
+    )
 
-    assert oracle_solve_extended is oracle.oracle_solve_extended
-    assert extlp.GenConfig is oracle.GenConfig and extlp.oracle is oracle
-    with pytest.raises(AttributeError):
-        extlp.no_such_name
+    # each oracle name is read from extlp.oracle, and extlp has no loader that serves it a second way
+    imported = (GenConfig, INFEASIBLE, OPTIMAL, OracleResult, UNBOUNDED, fm_minimum, gen_valid_elp,
+                oracle_feasible_point, oracle_solve_extended, oracle_solve_finite)
+    assert imported == tuple(getattr(oracle, name) for name in sorted(oracle.__all__))
+    assert "__getattr__" not in vars(extlp) and extlp.oracle is oracle
+    # a fresh import loads no oracle and holds none of its names
+    code = (
+        "import sys, extlp\n"
+        "fresh, loaded = set(dir(extlp)), 'extlp.oracle' in sys.modules\n"
+        "import extlp.oracle\n"
+        "print(loaded, sorted(fresh & set(extlp.oracle.__all__)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False []\n"), proc.stderr
+    for name in ("gen_valid_elp", "INFEASIBLE", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(extlp, name)
 
 
 def test_the_package_republishes_each_modules_all():
@@ -609,4 +676,3 @@ def test_the_package_republishes_each_modules_all():
             assert getattr(extlp, name) is getattr(module, name), (module.__name__, name)
     public = {n for n in vars(extlp) if not n.startswith("_") and not isinstance(getattr(extlp, n), types.ModuleType)}
     assert public == union
-    assert extlp._ORACLE_NAMES <= set(extlp.oracle.__all__)

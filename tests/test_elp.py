@@ -15,14 +15,12 @@ from extlp import (
     DomainError,
     ExtendedLP,
     ExtValue,
-    GenConfig,
     InvalidProgramError,
     Optimum,
     PreconditionError,
     TheoremViolationError,
     ValidELP,
     dualize,
-    gen_valid_elp,
     is_bounded_by,
     is_feasible,
     is_unbounded,
@@ -40,7 +38,7 @@ from extlp import farkas as farkas_module
 from extlp.cli import format_program, parse_program_text
 from extlp.extlinalg import neg_transpose, rat_dot
 from extlp.farkas import verify_primal_ineq
-from extlp.oracle import oracle_feasible_point
+from extlp.oracle import GenConfig, gen_valid_elp, oracle_feasible_point
 from conftest import fractions, load_program
 
 COUNTEREXAMPLES = {
@@ -99,7 +97,7 @@ def test_a_cost_of_the_wrong_length_is_named_against_a_list_of_rows():
             ExtendedLP([[1, 2, 3]], [1], c)
         assert str(err.value) == f"c has {len(c)} entries for 3 columns"
     # with no rows, the cost vector gives the width
-    assert ExtendedLP([], [], [1, 2]).shape == (0, 2)
+    assert ExtendedLP([], [], [1, 2]).A.shape == (0, 2)
 
 
 # --- duality as an involution ---
@@ -141,8 +139,8 @@ def test_dualize_on_generated_programs():
         d = dualize(p)
         assert validate(d).is_valid
         assert dualize(d) == p
-        for name, idxs in validate(p).as_dict().items():
-            assert validate(d).as_dict()[DUAL_CONDITION_SWAP[name]] == idxs
+        for name, idxs in validate(p)._asdict().items():
+            assert validate(d)._asdict()[DUAL_CONDITION_SWAP[name]] == idxs
 
 
 # --- solutions and feasibility ---
@@ -610,7 +608,7 @@ def assert_indexed(a, b, c):
     cells = [(i, j) for i in range(a.nrows) for j in range(a.ncols)]
     assert a.bots == tuple(ij for ij in cells if a[ij[0]][ij[1]].is_bot), a
     assert a.tops == tuple(ij for ij in cells if a[ij[0]][ij[1]].is_top), a
-    for v in (*a.rows, b, c):
+    for v in (*a, b, c):
         assert v.bots == tuple(j for j, e in enumerate(v) if e.is_bot), v
         assert v.tops == tuple(j for j, e in enumerate(v) if e.is_top), v
 
@@ -630,7 +628,7 @@ def test_the_placement_logic_matches_per_entry_scans():
             assert_indexed(a, b, c)
         for a, b, c in ((p.A, p.b, p.c), (neg_transpose(p.A), p.c, p.b)):
             expected = reference_validity(a, b, c)
-            assert validate(ExtendedLP(a, b, c)).as_dict() == expected, (a, b, c)
+            assert validate(ExtendedLP(a, b, c))._asdict() == expected, (a, b, c)
             system = {k: expected[k] for k in ("mixed_row", "mixed_col", "top_row_top_rhs", "bot_row_bot_rhs")}
             assert farkas_module.system_preconditions(a, b) == {k: v for k, v in system.items() if v}, (a, b)
             assert farkas_module.infinity_masks(a.bots, a.tops, b, c, a.ncols) == reference_masks(a, b, c), (a, b, c)

@@ -228,6 +228,11 @@ def test_the_names_that_restate_another_are_gone():
     for module, name in ((extfield, "finite"), (extfield, "format_rational"), (elp, "is_solution"),
                          (farkas, "dual_infeasibility_search")):
         assert not hasattr(module, name) and not hasattr(extlp, name), name
+    # str(v), report._asdict(), p.A.shape, iteration and indexing of the matrix, and extlp.oracle say each
+    assert not hasattr(extfield, "format_ext") and not hasattr(extlp, "format_ext")
+    assert not hasattr(elp.ValidityReport, "as_dict") and not hasattr(elp.ExtendedLP, "shape")
+    assert not hasattr(extlinalg.ExtMatrix, "rows")
+    assert "_ORACLE_NAMES" not in vars(extlp) and "__getattr__" not in vars(extlp)
 
 
 def test_scatter_re_expands_masked_witnesses():

@@ -10,22 +10,28 @@ from extlp import (
     TOP,
     DimensionError,
     ExtValue,
-    GenConfig,
     GenerationBudgetError,
     ScaleLimitError,
-    gen_valid_elp,
     is_feasible,
     opposites_opt,
     optimum,
     optimum_pair,
-    oracle_feasible_point,
-    oracle_solve_extended,
-    oracle_solve_finite,
-    fm_minimum,
     validate,
 )
 from extlp.elp import ExtendedLP, dualize
-from extlp.oracle import INFEASIBLE, MAX_ORACLE_COLS, MAX_ORACLE_ROWS, OPTIMAL, UNBOUNDED
+from extlp.oracle import (
+    INFEASIBLE,
+    MAX_ORACLE_COLS,
+    MAX_ORACLE_ROWS,
+    OPTIMAL,
+    UNBOUNDED,
+    GenConfig,
+    fm_minimum,
+    gen_valid_elp,
+    oracle_feasible_point,
+    oracle_solve_extended,
+    oracle_solve_finite,
+)
 from conftest import load_program
 
 LUNCH_A = [[-27, -90], [-1300, -1150]]
@@ -189,7 +195,7 @@ def test_generator_is_deterministic():
 def test_generator_output_is_valid_with_requested_shape():
     for seed in range(60):
         p = gen_valid_elp(GenConfig(rows=2, cols=3, seed=seed))
-        assert p.shape == (2, 3)
+        assert p.A.shape == (2, 3)
         assert validate(p).is_valid
 
 
@@ -198,7 +204,7 @@ def test_generator_mixes_finite_and_endpoint_entries():
     finites = 0
     for seed in range(120):
         p = gen_valid_elp(GenConfig(rows=2, cols=2, seed=seed, infinity_prob=0.3))
-        entries = [e for row in p.A.rows for e in row] + list(p.b) + list(p.c)
+        entries = [e for row in p.A for e in row] + list(p.b) + list(p.c)
         endpoints += sum(1 for e in entries if not e.is_finite)
         finites += sum(1 for e in entries if e.is_finite)
     assert endpoints > 60
@@ -208,7 +214,7 @@ def test_generator_mixes_finite_and_endpoint_entries():
 def test_generator_entry_magnitude_is_bounded():
     for seed in range(30):
         p = gen_valid_elp(GenConfig(rows=3, cols=3, magnitude=3, seed=seed))
-        for e in [e for row in p.A.rows for e in row] + list(p.b) + list(p.c):
+        for e in [e for row in p.A for e in row] + list(p.b) + list(p.c):
             if e.is_finite:
                 assert abs(e.finite_value) <= 3
                 assert e.finite_value.denominator == 1

@@ -108,7 +108,7 @@ def test_defaults_and_properties():
     assert OracleResult(OPTIMAL).value is None and OracleResult(OPTIMAL).ray is None
     cfg = GenConfig(rows=3, cols=2)
     assert (cfg.magnitude, cfg.infinity_prob, cfg.seed, cfg.max_attempts) == (3, 0.25, 0, 10000)
-    assert ExtendedLP([[1, 2]], [3], [0, 1]).shape == (1, 2)
+    assert ExtendedLP([[1, 2]], [3], [0, 1]).A.shape == (1, 2)
     assert str(Optimum(BOT)) == "bot"
     out = FarkasOutcome.dual([Fraction(1)])
     assert out.is_dual and not out.is_primal
@@ -132,3 +132,8 @@ def test_constructor_checks_still_raise():
     for bad in (dict(rows=0, cols=2), dict(rows=2, cols=2, magnitude=-1), dict(rows=2, cols=2, infinity_prob=1.5)):
         with pytest.raises(ScaleLimitError):
             GenConfig(**bad)
+    # a wrong type raised TypeError or ValueError inside the generator, and True stood for 1: each is refused by name
+    for field, value in (("rows", 1.5), ("rows", True), ("cols", False), ("magnitude", 1.5), ("max_attempts", 2.0),
+                         ("max_attempts", True), ("infinity_prob", "0.3"), ("infinity_prob", True)):
+        with pytest.raises(ScaleLimitError, match=f"^{field} must be"):
+            GenConfig(**{"rows": 1, "cols": 1, field: value})
