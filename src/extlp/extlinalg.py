@@ -179,15 +179,17 @@ def dot_weig(v: ExtVector | Iterable, weights: Sequence) -> ExtValue:
     return acc
 
 
-def mul_weig(m: ExtMatrix, weights: Sequence) -> ExtVector:
+def mul_weig(m: ExtMatrix | Sequence, weights: Sequence) -> ExtVector:
     """Row-wise weighted sums: entry i is ``dot_weig(m[i], weights)``."""
+    m = m if isinstance(m, ExtMatrix) else ExtMatrix(m)
     if len(weights) != m.ncols:
         raise DimensionError(f"mul_weig: matrix has {m.ncols} columns, got {len(weights)} weights")
     return ExtVector(dot_weig(row, weights) for row in m)
 
 
-def le_vec(u: ExtVector, v: ExtVector) -> bool:
+def le_vec(u: ExtVector | Iterable, v: ExtVector | Iterable) -> bool:
     """Pointwise ``<=`` on equal-length vectors."""
+    u, v = (w if isinstance(w, ExtVector) else ExtVector(w) for w in (u, v))
     if len(u) != len(v):
         raise DimensionError(f"le_vec: {len(u)} vs {len(v)}")
     return all(a <= b for a, b in zip(u, v))
@@ -199,7 +201,8 @@ def neg_transpose(m: ExtMatrix) -> ExtMatrix:
     Built from ``m``'s entries and index, which need no second check: the
     result has ``m.nrows`` columns, and row ``j`` has its bots where column
     ``j`` of ``m`` has its tops and its tops where that has its bots, each
-    read off ``m``'s row-major index in ascending ``i``.
+    read off ``m``'s row-major index in ascending ``i``.  ``m`` stays typed:
+    :func:`~extlp.elp.dualize` passes the matrix its program coerced once.
     """
     n = m._ncols
     cols = zip(*(r._entries for r in m._rows)) if m._rows else [()] * n

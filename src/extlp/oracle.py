@@ -95,10 +95,6 @@ def _basic_points(a: list[tuple[Fraction, ...]], b: Sequence[Fraction], ncols: i
     cons = [(row, rhs) for row, rhs in zip(a, b)]
     for j in range(ncols):
         cons.append((tuple(-_F1 if k == j else _F0 for k in range(ncols)), _F0))
-    if ncols == 0:
-        if all(rhs >= 0 for _, rhs in cons):
-            yield ()
-        return
     seen = set()
     for combo in combinations(range(len(cons)), ncols):
         pt = _solve_square([cons[i][0] for i in combo], [cons[i][1] for i in combo])

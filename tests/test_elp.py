@@ -14,7 +14,9 @@ from extlp import (
     DimensionError,
     DomainError,
     ExtendedLP,
+    ExtMatrix,
     ExtValue,
+    ExtVector,
     InvalidProgramError,
     Optimum,
     PreconditionError,
@@ -85,10 +87,15 @@ def test_duality_predicates_require_validity():
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="^1 rows vs 2 rhs entries$"):
         ExtendedLP([[1]], [1, 2], [1])
     with pytest.raises(DimensionError):
         ExtendedLP([[1, 2]], [1], [1])
+    # a wrong-length b is named by the one shape check of an extended system, for any A
+    for A, b in (([[1], [2]], [1]), (ExtMatrix([[1], [2]]), ExtVector([1])), ([], [1]), (ExtMatrix([], ncols=1), [1])):
+        with pytest.raises(DimensionError) as err:
+            ExtendedLP(A, b, [1])
+        assert str(err.value) == f"{len(A)} rows vs {len(b)} rhs entries", (A, b)
 
 
 def test_a_cost_of_the_wrong_length_is_named_against_a_list_of_rows():
@@ -465,7 +472,7 @@ def test_the_index_test_takes_the_shared_path_only_on_a_mirrored_dual():
     for p in programs:
         valid = validate(p).is_valid
         primal = elp_module._residual(p.A, p.b, p.c)
-        dual_kept = elp_module._dual_kept(p.A, p.b, p.c)
+        dual_kept = farkas_module.infinity_masks(p.A, p.c, p.b, True) or Optimum(TOP)
         # the dual's residual, read off A's index and entries, is the one -A^T gives
         dual = elp_module._residual(neg_transpose(p.A), p.c, p.b)
         assert elp_module._residual(p.A, p.c, p.b, dual_kept) == dual
@@ -631,15 +638,14 @@ def test_the_placement_logic_matches_per_entry_scans():
             assert validate(ExtendedLP(a, b, c))._asdict() == expected, (a, b, c)
             system = {k: expected[k] for k in ("mixed_row", "mixed_col", "top_row_top_rhs", "bot_row_bot_rhs")}
             assert farkas_module.system_preconditions(a, b) == {k: v for k, v in system.items() if v}, (a, b)
-            assert farkas_module.infinity_masks(a.bots, a.tops, b, c, a.ncols) == reference_masks(a, b, c), (a, b, c)
+            assert farkas_module.infinity_masks(a, b, c) == reference_masks(a, b, c), (a, b, c)
             # a system has no cost
-            assert farkas_module.infinity_masks(a.bots, a.tops, b, (), a.ncols) == reference_masks(a, b, ()), (a, b)
+            assert farkas_module.infinity_masks(a, b, ()) == reference_masks(a, b, ()), (a, b)
             seen["invalid"] += any(expected.values())
             seen["several"] += any(len(v) > 1 for v in expected.values())
             seen["later"] += any(v and v[0] > 0 for v in expected.values())
         # the dual's placement read off A: its tops and bots, each (i, j) as (j, i)
-        dual_bots, dual_tops = [(j, i) for i, j in p.A.tops], [(j, i) for i, j in p.A.bots]
-        swapped = farkas_module.infinity_masks(dual_bots, dual_tops, p.c, p.b, p.A.nrows)
+        swapped = farkas_module.infinity_masks(p.A, p.c, p.b, True)
         assert swapped == reference_masks(neg_transpose(p.A), p.c, p.b), p
     # most programs break a condition, and many at several or later indices
     assert seen["invalid"] > 2100 and min(seen.values()) >= 200, seen

@@ -115,6 +115,9 @@ def test_mul_weig_is_rowwise_dot():
     assert mul_weig(m, w) == ExtVector([BOT, TOP, ExtValue(-10)])
     for i in range(3):
         assert mul_weig(m, w)[i] == dot_weig(m[i], w)
+    # a list of rows of tokens coerces as dot_weig's rows do
+    assert mul_weig([[1, "top"]], [1, 0]) == ExtVector([1])
+    assert mul_weig([["bot", 1], [2, "top"], [0, -5]], w) == mul_weig(m, w)
 
 
 def test_le_vec_pointwise():
@@ -122,6 +125,13 @@ def test_le_vec_pointwise():
     assert not le_vec(ExtVector([2, 1]), ExtVector([0, TOP]))
     with pytest.raises(DimensionError):
         le_vec(ExtVector([1]), ExtVector([1, 2]))
+    # token lists compare as values, not as strings
+    assert not le_vec(["10"], ["9"])
+    assert le_vec(["9"], ["10"])
+    assert not le_vec([1, "top"], [2, 3])
+    assert le_vec(["bot", 1], [0, "top"])
+    with pytest.raises(DimensionError):
+        le_vec([1], [1, 2])
 
 
 # --- negated transpose ---

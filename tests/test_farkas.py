@@ -64,8 +64,16 @@ def test_empty_functional_list_nonzero_target():
 
 
 def test_arity_mismatch_rejected():
-    with pytest.raises(DimensionError):
-        farkas_bartl([(1,), (2, 3)], (1, 2))
+    # the one width check of a list of rows names a ragged input and a wrong arity
+    for rows, target, message in (
+        ([(1,), (2, 3)], (1, 2), "ragged rows: widths [1, 2]"),
+        ([(1, 2, 3), (4,)], (1,), "ragged rows: widths [1, 3]"),
+        ([(1,), (2,)], (1, 2), "ncols 2 does not match row width 1"),
+        ([(1, 2)], (), "ncols 0 does not match row width 2"),
+    ):
+        with pytest.raises(DimensionError) as err:
+            farkas_bartl(rows, target)
+        assert str(err.value) == message, (rows, target)
 
 
 @pytest.mark.parametrize(
