@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .check import _check_pair, verify_primal_ext
 from .errors import DimensionError, InvalidProgramError, PreconditionError
-from .extfield import BOT, TOP, ZERO, ExtValue, _neg_q, as_ext
+from .extfield import BOT, TOP, ZERO, ExtValue, as_ext
 from .extlinalg import ExtMatrix, ExtVector, _ext_system, dot_weig, neg_transpose, rat_vector
 from .farkas import (
     BOT_ROW_BOT_RHS,
@@ -39,6 +39,7 @@ from .farkas import (
     TOP_ROW_TOP_RHS,
     _Record,
     _feasible,
+    _masked,
     infinity_masks,
     solve_program,
     system_preconditions,
@@ -154,16 +155,9 @@ class ValidELP(ExtendedLP):
         return p
 
 
-def _as_valid(p: ExtendedLP) -> ValidELP:
-    if isinstance(p, ValidELP):
-        return p
-    return ValidELP(p.A, p.b, p.c)
-
-
 def dualize(p: ExtendedLP) -> ExtendedLP:
     """The dual program ``(-A^T, c, b)``; preserves (and re-checks) validity."""
-    cls = ValidELP if isinstance(p, ValidELP) else ExtendedLP
-    return cls(neg_transpose(p.A), p.c, p.b)
+    return type(p)(neg_transpose(p.A), p.c, p.b)
 
 
 def reaches(p: ExtendedLP, x: Sequence) -> ExtValue:
@@ -178,17 +172,15 @@ def reaches(p: ExtendedLP, x: Sequence) -> ExtValue:
 def is_feasible(p: ExtendedLP) -> bool:
     """Whether some solution of any program, valid or not, reaches a value
     other than top."""
-    residual = _residual(p.A, p.b, p.c)
-    if isinstance(residual, Optimum):
-        return not residual.value.is_top
-    return _feasible(residual[0], residual[1], len(residual[2]))
+    masks = infinity_masks(p.A, p.b, p.c)
+    return masks is not None and _feasible(*_masked(p.A, p.b, masks), len(masks[1]))
 
 
 def is_unbounded(p: ExtendedLP) -> bool:
     """Feasible with no finite lower bound: an optimum of bot.  The paper
     states it through dual infeasibility, which agrees only on valid
     programs, so the program must be valid."""
-    return optimum(_as_valid(p)).value.is_bot
+    return optimum(ValidELP(*p)).value.is_bot
 
 
 class Optimum(_Record, namedtuple("Optimum", "value")):
@@ -210,75 +202,52 @@ def opposites_opt(p: Optimum, q: Optimum) -> bool:
     return p.value == -q.value
 
 
-def _residual(a: ExtMatrix, b: ExtVector, c: ExtVector, dual: tuple | Optimum | None = None) -> Optimum | tuple:
-    """The optimum of ``(A, b, c)`` if the infinity placements decide it,
-    else the finite residual ``(A', b', c')`` and the rows and columns of
-    ``A`` it keeps.
+def _decide(a: ExtMatrix, b: ExtVector, c: ExtVector, masks: tuple | None, dual: bool = False) -> tuple[Optimum, Optimum | None]:
+    """The optimum of the side ``(A, b, c)`` under its masks from
+    :func:`~extlp.farkas.infinity_masks`, read as :func:`~extlp.farkas._masked`
+    reads them with ``dual``, and that of its dual when the same solve settles it.
 
-    :func:`~extlp.farkas.infinity_masks` on ``A``'s endpoint index finds
-    top, or the rows and columns to keep; under a bot cost, solvability of
-    the kept system decides bot or top.  Given ``dual``, the masks
-    ``infinity_masks(A, b, c, True)`` or top, the program is instead
-    ``(-A^T, b, c)``, in the orientation ``infinity_masks`` states: its
-    entries are read off ``A`` as ``-A[j][i]``, and on the columns and rows
-    of a primal residual it is ``(-A'^T, c', b')``.
+    No masks give top.  Under a bot cost, the feasibility of the residual
+    ``(A', b')`` picks bot or top.  Otherwise one solve of ``(A', b', c')``
+    gives ``(v, -v)``, checked by :func:`_check_pair`, or ``(bot, top)``;
+    an infeasible residual gives top.  An open dual is None.
     """
-    kept = dual or infinity_masks(a, b, c) or Optimum(TOP)
-    if isinstance(kept, Optimum):
-        return kept
-    live, keep, bot_cost = kept
-    # the masks keep finite entries only, so each rational is read unchecked
-    if dual is None:
-        rows = [a[i].entries for i in live]
-        sub = [tuple([r[j]._q for j in keep]) for r in rows]
-    else:
-        rows = [a[i].entries for i in keep]
-        sub = [tuple([_neg_q(r[j]._q) for r in rows]) for j in live]
-    b, c = b.entries, c.entries
-    rhs = [b[i]._q for i in live]
-    if bot_cost:
-        return Optimum(BOT if _feasible(sub, rhs, len(keep)) else TOP)
-    return sub, rhs, [c[j]._q for j in keep], live, keep
-
-
-def _decide(residual: Optimum | tuple) -> tuple[Optimum, Optimum | None]:
-    """The optimum of one side and, when the same solve settles it, of its
-    dual ``(-A'^T, c', b')``: one solve gives ``(v, -v)``, checked by
-    :func:`_check_pair`, or ``(bot, top)``; an infeasible primal, or one the
-    placements decide, leaves the dual open (None).
-    """
-    if isinstance(residual, Optimum):
-        return residual, None
-    a, b, c = residual[:3]
-    out = solve_program(a, b, c)
+    if masks is None:
+        return Optimum(TOP), None
+    sub, rhs = _masked(a, b, masks, dual)
+    if masks[2]:
+        return Optimum(BOT if _feasible(sub, rhs, len(masks[1])) else TOP), None
+    cost = [c[j]._q for j in masks[1]]
+    out = solve_program(sub, rhs, cost)
     if out is TOP:
         return Optimum(TOP), None
     if out is BOT:
         return Optimum(BOT), Optimum(TOP)
-    value = _check_pair(a, b, c, *out)
+    value = _check_pair(sub, rhs, cost, *out)
     return Optimum(value), Optimum(-value)
 
 
 def optimum_pair(p: ExtendedLP) -> tuple[Optimum, Optimum]:
     """Optima of any program and of its dual ``(-A^T, c, b)``.
 
-    The dual's placements come once from ``infinity_masks(A, c, b, True)``,
-    off ``A``'s index.  When the dual keeps the columns and rows of a finite
-    primal residual under a cost with no bot, as for every valid program with
-    one, one :func:`_decide` settles both sides unless the primal is infeasible;
-    then the bot-cost rule of :func:`_residual` picks bot or top for the
-    dual.  Otherwise the dual's residual is decided on its own.
-    :func:`_residual` reads it off ``A``'s entries: ``-A^T`` is never built.
+    The dual's masks come from ``infinity_masks(A, c, b, True)``, off
+    ``A``'s index.  When they keep the columns and rows of a finite primal
+    residual under costs with no bot, as for every valid program whose
+    primal has masks and no bot cost, one :func:`_decide` settles both
+    sides unless the primal is infeasible; then a phase-1 test of the
+    dual's residual picks bot or top for it.  Otherwise the dual is decided
+    on its own.  Either way :func:`~extlp.farkas._masked` reads the dual's
+    residual off ``A``'s entries: ``-A^T`` is never built.
     """
     a, b, c = p.A, p.b, p.c
-    primal = _residual(a, b, c)
-    dual = infinity_masks(a, c, b, True) or Optimum(TOP)
-    p_opt, d_opt = _decide(primal)
-    if isinstance(primal, Optimum) or dual != (primal[4], primal[3], False):
-        return p_opt, _decide(_residual(a, c, b, dual))[0]
+    primal = infinity_masks(a, b, c)
+    dual = infinity_masks(a, c, b, True)
+    p_opt, d_opt = _decide(a, b, c, primal)
+    if primal is None or primal[2] or dual != (primal[1], primal[0], False):
+        return p_opt, _decide(a, c, b, dual, True)[0]
     if d_opt is None:
         # a phase-1 test of the dual alone: a full _decide of it took about 3% more CPU time per audit program
-        d_opt = _residual(a, c, b, (*dual[:2], True))
+        d_opt = Optimum(BOT if _feasible(*_masked(a, c, dual, True), len(dual[1])) else TOP)
     return p_opt, d_opt
 
 
@@ -288,7 +257,7 @@ def optimum(p: ExtendedLP) -> Optimum:
     top when infeasible, bot when feasible with no finite lower bound,
     otherwise an attained finite value.
     """
-    return _decide(_residual(p.A, p.b, p.c))[0]
+    return _decide(p.A, p.b, p.c, infinity_masks(p.A, p.b, p.c))[0]
 
 
 def is_bounded_by(p: ExtendedLP, r) -> bool:
@@ -314,7 +283,7 @@ def strong_duality_check(p: ExtendedLP) -> bool:
     optima are both top, the theorem does not apply, and this raises
     PreconditionError.
     """
-    opt_p, opt_d = optimum_pair(_as_valid(p))
+    opt_p, opt_d = optimum_pair(ValidELP(*p))
     if opt_p.value.is_top and opt_d.value.is_top:
         raise PreconditionError(
             "strong_duality_check: both the program and its dual are infeasible"

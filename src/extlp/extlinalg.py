@@ -31,7 +31,7 @@ __all__ = [
 
 
 class ExtVector:
-    """Immutable vector of extended values; entries coerce via ``as_ext``.
+    """Immutable vector of extended values; entries coerce via ``as_ext``; a string is refused.
 
     ``bots`` and ``tops`` index the endpoints once, at construction: the
     positions of the bot and of the top entries, ascending, ``()`` for an
@@ -41,6 +41,8 @@ class ExtVector:
     __slots__ = ("_entries", "_bots", "_tops")
 
     def __init__(self, entries: Iterable):
+        if isinstance(entries, str):
+            raise DimensionError(f"a string is not a vector: {entries!r}")
         self._entries = es = tuple([as_ext(e) for e in entries])
         bots, tops = [], []
         for j, e in enumerate(es):
@@ -170,7 +172,7 @@ def dot_weig(v: ExtVector | Iterable, weights: Sequence) -> ExtValue:
     Weights must be nonnegative rationals (enforced by the scalar action).
     The empty sum is 0.
     """
-    entries = v.entries if isinstance(v, ExtVector) else tuple(as_ext(e) for e in v)
+    entries = (v if isinstance(v, ExtVector) else ExtVector(v)).entries
     if len(entries) != len(weights):
         raise DimensionError(f"dot_weig: {len(entries)} entries vs {len(weights)} weights")
     acc = ZERO
@@ -217,7 +219,10 @@ def neg_transpose(m: ExtMatrix) -> ExtMatrix:
 
 def row_width(rows: Sequence[Sequence], ncols: int | None) -> int | None:
     """The common width of ``rows``, which must equal ``ncols`` when that is
-    given; ``ncols`` itself when there are no rows."""
+    given; ``ncols`` itself when there are no rows.  ``ncols`` is None or an
+    int ``>= 0``, else DimensionError."""
+    if ncols is not None and (not isinstance(ncols, int) or isinstance(ncols, bool) or ncols < 0):
+        raise DimensionError(f"ncols must be None or a nonnegative int, not {ncols!r}")
     if not rows:
         return ncols
     widths = {len(r) for r in rows}
@@ -230,7 +235,9 @@ def row_width(rows: Sequence[Sequence], ncols: int | None) -> int | None:
 
 
 def rat_vector(xs: Iterable) -> tuple[Fraction, ...]:
-    """Coerce a sequence of rational literals to a tuple of Fractions."""
+    """Coerce a sequence of rational literals, not a string, to a tuple of Fractions."""
+    if isinstance(xs, str):
+        raise DimensionError(f"a string is not a vector: {xs!r}")
     return tuple(as_rational(x) for x in xs)
 
 

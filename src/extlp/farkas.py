@@ -34,7 +34,7 @@ from typing import Sequence
 # farkas calls none of these checks; it republishes them, since bench/workloads.py reads them as farkas.verify_*
 from .check import verify_dual_eq, verify_dual_ext, verify_dual_ineq, verify_primal_eq, verify_primal_ext, verify_primal_ineq
 from .errors import DimensionError, PreconditionError, TheoremViolationError
-from .extfield import BOT, TOP, ExtValue
+from .extfield import BOT, TOP, ExtValue, _neg_q
 from .extlinalg import ExtMatrix, ExtVector, _ext_system, _rational_system, rat_dot, rat_vector, row_width, scatter
 
 __all__ = [
@@ -409,6 +409,28 @@ def infinity_masks(a: ExtMatrix, b: ExtVector, c: ExtVector | tuple, dual: bool 
     return live, [j for j in range(a.nrows if dual else a.ncols) if j not in forced], bool(bot_cost)
 
 
+def _masked(a: ExtMatrix, b: ExtVector, masks: tuple[list[int], list[int], bool], dual: bool = False) -> tuple[list, list]:
+    """The finite system ``(A', b')`` that the masks ``(live, keep, bot_cost)``
+    of :func:`infinity_masks` leave of ``A x <= b``: the live rows of ``A`` on
+    its kept columns and the live entries of ``b``, as Fractions.
+
+    With ``dual`` the matrix is ``-A^T``, in the orientation of
+    ``infinity_masks(A, b, c, True)``: its entry ``(i, j)`` reads
+    ``-A[j][i]``, so ``-A^T`` is never built.  On the columns and rows of a
+    primal residual ``(A', b', c')`` the dual's is ``(-A'^T, c', b')``.
+    """
+    live, keep, _ = masks
+    # the masks keep finite entries only, so each rational is read unchecked
+    if dual:
+        rows = [a[i].entries for i in keep]
+        sub = [tuple([_neg_q(r[j]._q) for r in rows]) for j in live]
+    else:
+        rows = [a[i].entries for i in live]
+        sub = [tuple([r[j]._q for j in keep]) for r in rows]
+    b = b.entries
+    return sub, [b[i]._q for i in live]
+
+
 def solve_extended(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> FarkasOutcome:
     """Alternative for ``A x <= b`` with extended entries.
 
@@ -439,8 +461,7 @@ def solve_extended(a: ExtMatrix | Sequence, b: ExtVector | Sequence) -> FarkasOu
     if masks is None:
         return FarkasOutcome.dual((_F0,) * a.nrows)
     live, free, _ = masks
-    sub = [tuple([a[i][j]._q for j in free]) for i in live]  # the masks keep finite entries only
-    out = _outcome(_simplex(sub, [b[i]._q for i in live], len(free), True))
+    out = _outcome(_simplex(*_masked(a, b, masks), len(free), True))
     if out.is_primal:
         return FarkasOutcome.primal(scatter(out.x, free, a.ncols))
     return FarkasOutcome.dual(scatter(out.y, live, a.nrows))

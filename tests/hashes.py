@@ -1,14 +1,19 @@
 """Hash every answer and every witness of a fixed set of seeded programs.
 
-Run ``python3 tests/hashes.py``.  It prints two lines:
+Run ``python3 tests/hashes.py``.  It prints three lines:
 
 * the answer hash: the optima, primal and dual, of 4180 valid programs and
   then of 3000 invalid ones, each set hashed alone;
 * the witness hash: 3080 outputs of ``solve_extended``, ``solve_equality``,
-  ``solve_inequality`` and ``solve_program``.
+  ``solve_inequality`` and ``solve_program``;
+* the pivot line: every ``farkas._simplex`` run those two hashes make, as
+  the number of runs, the phase-1 and phase-2 pivot totals and a hash of
+  each run's row count and pivots, in call order.
 
-Any changed optimum, witness or optimal pair changes a hash.  The Tier-1
-test ``tests/test_pins.py`` compares both lines with pinned values.
+Any changed optimum, witness or optimal pair changes a hash, and a solve
+added, dropped or rerouted changes the pivot line even when the answers
+stay.  The Tier-1 test ``tests/test_pins.py`` compares the lines with
+pinned values.
 """
 
 import hashlib
@@ -47,6 +52,25 @@ def witness_hash() -> str:
     return digest(out + [farkas.solve_program(a, b, c) for a, b, c in systems])
 
 
+def pivot_line() -> str:
+    runs = []
+    real = farkas._simplex
+
+    def recorded(a, b, *rest):
+        run = real(a, b, *rest)
+        runs.append((len(b), run.pivots))
+        return run
+
+    farkas._simplex = recorded
+    try:
+        answer_hash()
+        witness_hash()
+    finally:
+        farkas._simplex = real
+    return f"{len(runs)} {sum(p1 for _, (p1, _) in runs)} {sum(p2 for _, (_, p2) in runs)} {digest(runs)}"
+
+
 if __name__ == "__main__":
     print(answer_hash())
     print(witness_hash())
+    print(pivot_line())

@@ -403,7 +403,7 @@ def test_the_check_rejects_a_malformed_pair(x, y, monkeypatch):
 
 def mirror(a: list, b: list, c: list) -> tuple[list, list, list]:
     """The dual ``(-A^T, c, b)`` of a finite residual, the reference for the
-    dual's residual that ``_residual`` reads off ``A``."""
+    dual's residual that ``_masked`` reads off ``A``."""
     return [tuple(-row[j] for row in a) for j in range(len(c))], c, b
 
 
@@ -471,20 +471,23 @@ def test_the_index_test_takes_the_shared_path_only_on_a_mirrored_dual():
     paths = {}
     for p in programs:
         valid = validate(p).is_valid
-        primal = elp_module._residual(p.A, p.b, p.c)
-        dual_kept = farkas_module.infinity_masks(p.A, p.c, p.b, True) or Optimum(TOP)
-        # the dual's residual, read off A's index and entries, is the one -A^T gives
-        dual = elp_module._residual(neg_transpose(p.A), p.c, p.b)
-        assert elp_module._residual(p.A, p.c, p.b, dual_kept) == dual
+        primal = farkas_module.infinity_masks(p.A, p.b, p.c)
+        dual = farkas_module.infinity_masks(p.A, p.c, p.b, True)
+        # the dual's masks and residual, read off A's index and entries, are the ones -A^T gives
+        transposed = neg_transpose(p.A)
+        assert dual == farkas_module.infinity_masks(transposed, p.c, p.b)
+        if dual is not None:
+            assert farkas_module._masked(p.A, p.c, dual, True) == farkas_module._masked(transposed, p.c, dual)
         # the test optimum_pair makes before it decides the dual from the primal's mirror
-        shared = not isinstance(primal, Optimum) and dual_kept == (primal[4], primal[3], False)
+        shared = primal is not None and not primal[2] and dual == (primal[1], primal[0], False)
         paths[valid, shared] = paths.get((valid, shared), 0) + 1
         if not shared:
-            # a valid program leaves the shared path only when placements decide its primal
-            assert not valid or isinstance(primal, Optimum)
+            # a valid program leaves the shared path only when its masks are None or carry a bot cost
+            assert not valid or primal is None or primal[2]
             continue
-        sub, rhs, cost, live, keep = primal
-        assert dual == (*mirror(sub, rhs, cost), keep, live)
+        sub, rhs = farkas_module._masked(p.A, p.b, primal)
+        cost = [p.c[j].finite_value for j in primal[1]]
+        assert (*farkas_module._masked(p.A, p.c, dual, True), [p.b[i].finite_value for i in dual[1]]) == mirror(sub, rhs, cost)
     assert len(paths) == 4 and min(paths.values()) >= 30, paths
 
 

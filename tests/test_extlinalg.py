@@ -64,6 +64,17 @@ def test_malformed_input_to_the_constructors_names_its_fault():
         (lambda: ExtMatrix([[1, 2], [3]]), DimensionError, "ragged rows: widths [1, 2]"),
         (lambda: ExtMatrix([[1, 2]], ncols=3), DimensionError, "ncols 3 does not match row width 2"),
         (lambda: ExtMatrix([]), DimensionError, "a matrix with no rows needs an explicit ncols"),
+        # an explicit ncols is None or an int >= 0, with or without rows
+        (lambda: ExtMatrix((), ncols=-1), DimensionError, "ncols must be None or a nonnegative int, not -1"),
+        (lambda: ExtMatrix((), ncols="3"), DimensionError, "ncols must be None or a nonnegative int, not '3'"),
+        (lambda: ExtMatrix((), ncols=1.5), DimensionError, "ncols must be None or a nonnegative int, not 1.5"),
+        (lambda: ExtMatrix((), ncols=True), DimensionError, "ncols must be None or a nonnegative int, not True"),
+        (lambda: ExtMatrix([[1]], ncols=True), DimensionError, "ncols must be None or a nonnegative int, not True"),
+        # a string is not read as a row of its characters
+        (lambda: ExtVector("12"), DimensionError, "a string is not a vector: '12'"),
+        (lambda: ExtMatrix(["12", "34"]), DimensionError, "a string is not a vector: '12'"),
+        (lambda: rat_vector("12"), DimensionError, "a string is not a vector: '12'"),
+        (lambda: dot_weig("12", [1, 1]), DimensionError, "a string is not a vector: '12'"),
     ]
     for build, kind, message in cases:
         with pytest.raises(kind) as err:

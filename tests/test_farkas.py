@@ -74,6 +74,19 @@ def test_arity_mismatch_rejected():
         with pytest.raises(DimensionError) as err:
             farkas_bartl(rows, target)
         assert str(err.value) == message, (rows, target)
+    # an explicit ncols is None or an int >= 0, and a string is not a row or a witness
+    for call, message in (
+        (lambda: solve_equality([], [], ncols="3"), "ncols must be None or a nonnegative int, not '3'"),
+        (lambda: solve_equality([], [], ncols=-2), "ncols must be None or a nonnegative int, not -2"),
+        (lambda: solve_inequality([], [], ncols=2.0), "ncols must be None or a nonnegative int, not 2.0"),
+        (lambda: oracle_feasible_point([], [], ncols=-1), "ncols must be None or a nonnegative int, not -1"),
+        (lambda: solve_inequality(["12"], [1]), "a string is not a vector: '12'"),
+        (lambda: verify_primal_ineq([[1, 1]], [2], "11"), "a string is not a vector: '11'"),
+        (lambda: verify_primal_ext([[1, 1]], [2], "11"), "a string is not a vector: '11'"),
+    ):
+        with pytest.raises(DimensionError) as err:
+            call()
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

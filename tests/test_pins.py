@@ -1,7 +1,8 @@
-"""The pinned answer and witness hashes and the pinned package and oracle surfaces.
+"""The pinned answer, witness and pivot lines and the pinned package and oracle surfaces.
 
 A changed optimum, witness or optimal pair changes a hash line of
-``tests/hashes.py``; a public name added to or dropped from a module's
+``tests/hashes.py``, and a simplex run added, dropped or rerouted its pivot
+line; a public name added to or dropped from a module's
 ``__all__``, and so from ``extlp`` or ``extlp.oracle``, fails a surface
 test, which names it.
 """
@@ -45,6 +46,10 @@ ORACLE_NAMES = (
 def test_the_answers_and_witnesses_hash_to_their_pins():
     assert hashes.answer_hash() == "8156ba6951a01db9 8b5a7dcb8b41f528"
     assert hashes.witness_hash() == "792c6fa24dad8e87"
+
+
+def test_the_simplex_runs_behind_the_hashes_match_their_pin():
+    assert hashes.pivot_line() == "11893 4515 1105 0eb997c95ffe8632"
 
 
 def _fresh(code: str) -> list[str]:
